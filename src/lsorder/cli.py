@@ -9,6 +9,7 @@ import json
 import math
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -16,27 +17,14 @@ from . import fileio, seeds
 from .doubling import build_ultrametric_cover, cover_preorder_to_triangle_lso
 from .euclidean import build_classic_grid_lso, build_triangle_lso_verified
 from .hopsets import FtTwoHopPathSpanner, TwoHopPathSpanner
-from .metrics import (
-    LpMetric,
-    MatrixMetric,
-    PointSet,
-    WeightedGraph,
-    shortest_path_metric,
-)
-from .nns import (
-    RootedNns,
-    TriangleNns,
-    UltrametricNns,
-    assign_rooted_labels,
-    assign_triangle_labels,
-)
+from .metrics import LpMetric, PointSet, WeightedGraph, shortest_path_metric
+from .nns import RootedNns, TriangleNns, assign_rooted_labels, assign_triangle_labels
 from .orderings import build_rooted_lso_tree, build_rooted_lso_treewidth, verify_family
 from .spanners import (
     ft_spanner_from_family,
     pr_spanner_from_classic,
     pr_spanner_from_rooted,
     pr_spanner_from_triangle,
-    shortest_paths_on_edges,
     sparse_cover_spanner,
     spd_spanner,
     tree_heavy_path_spd,
@@ -111,21 +99,25 @@ def cmd_gen(args):
 
 
 def load_metric(args):
-    """Dataset file -> metric (points file => lp metric, graph file => SPM)."""
+    """Dataset file -> metric (points file => lp metric, graph file => SPM).
+
+    A file is a graph when its first data line holds two integers (n m) and
+    its second data line, if there is one, holds three tokens (u v w);
+    anything else is a point file.
+    """
     with open(args.input, encoding="utf-8") as fh:
-        first = ""
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                first = line
-                break
-    toks = first.split()
-    if len(toks) == 2 and all(t.lstrip("-").isdigit() for t in toks):
+        head = [line.split() for line in islice(fileio.data_lines(fh.read()), 2)]
+    is_graph = (
+        len(head) > 0
+        and len(head[0]) == 2
+        and all(t.lstrip("-").isdigit() for t in head[0])
+        and (len(head) == 1 or len(head[1]) == 3)
+    )
+    if is_graph:
         g = fileio.read_graph(args.input)
         return shortest_path_metric(g), g, None
     ps = fileio.read_points(args.input)
-    p = args.p if args.p else 2.0
-    return LpMetric(ps, p if p != 0 else math.inf), None, ps
+    return LpMetric(ps, args.p), None, ps
 
 
 def cmd_build(args):
@@ -144,7 +136,7 @@ def cmd_build(args):
     elif structure == "triangle-lso":
         metric, _, ps = load_metric(args)
         fam = build_triangle_lso_verified(
-            ps, p=args.p or 2, t=args.t, delta=args.delta, seed=args.seed
+            ps, p=args.p, t=args.t, delta=args.delta, seed=args.seed
         )
         fileio.write_family(args.out, fam)
     elif structure == "grid-lso":
@@ -350,7 +342,6 @@ def make_parser():
         p.add_argument("--f", type=int, default=0)
         p.add_argument("--p", type=float, default=2.0)
         p.add_argument("--delta", type=float, default=0.5)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--n", type=int, default=16)
         p.add_argument("--d", type=int, default=2)
 

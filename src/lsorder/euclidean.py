@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .metrics import LpMetric, PointSet, min_max_pairwise
+from .metrics import LpMetric, PointSet, floor_log2, min_max_pairwise
 from .orderings import CLASSIC, TRIANGLE, Ordering, OrderingFamily, verify_classic, verify_triangle
 
 
@@ -394,19 +394,9 @@ def estimate_volume_ratio(d, radius, separation, p=2, samples=1_000_000, seed=0)
 # ---------------------------------------------------------------------------
 # classic grid LSO (shifted hierarchical grids, input-adaptive patterns)
 
+# Grid coordinates and their xors stay below 2^GRID_BITS, so for a xor v,
+# 2v + 1 fits in int64 and floor_log2(2v + 1) is v's bit length (0 at v = 0).
 GRID_BITS = 60
-
-
-def _bit_length_array(v):
-    """Exact bit length of nonnegative int64 arrays."""
-    out = np.zeros(v.shape, dtype=np.int64)
-    work = v.copy()
-    for shiftw in (32, 16, 8, 4, 2, 1):
-        mask = work >= (1 << shiftw)
-        out[mask] += shiftw
-        work[mask] >>= shiftw
-    out[v > 0] += 1
-    return out
 
 
 class GridClassicLso:
@@ -440,7 +430,7 @@ class GridClassicLso:
 def _split_level(xi_arr, yi_arr):
     """Deepest level at which two int-grid points share a cell (per shift)."""
     xor = xi_arr ^ yi_arr
-    bl = _bit_length_array(xor)
+    bl = floor_log2(2 * xor + 1)
     return int((GRID_BITS - bl).min())
 
 
@@ -540,7 +530,7 @@ def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
             lvl_pair = np.full((n, n), GRID_BITS, dtype=np.int64)
             for axis in range(d):
                 xor = pi[:, axis][:, None] ^ pi[:, axis][None, :]
-                lvl_pair = np.minimum(lvl_pair, GRID_BITS - _bit_length_array(xor))
+                lvl_pair = np.minimum(lvl_pair, GRID_BITS - floor_log2(2 * xor + 1))
             upd = lvl_pair > best_lvl
             best_lvl[upd] = lvl_pair[upd]
             best_sh[upd] = sh

@@ -1,19 +1,18 @@
-"""Flat-file formats: point sets, graphs, tree decompositions, SPDs, ordering
-families, HST covers, spanners, NNS labels, experiment configs, and reports.
+"""Flat-file formats: point sets, graphs, tree decompositions, ordering
+families, HST covers, spanners, and reports.
 
 All text files are UTF-8 with '#'-prefixed comment lines ignored.
 """
 
 import json
 
-import numpy as np
-
 from .doubling import HST, HstNode, UltrametricCover
 from .metrics import PointSet, WeightedGraph
 from .orderings import Ordering, OrderingFamily, TreeDecomposition
 
 
-def _data_lines(text):
+def data_lines(text):
+    """Stripped lines of a text file, skipping blank and '#' comment lines."""
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
@@ -29,7 +28,7 @@ def write_points(path, ps):
 def read_points(path):
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in _data_lines(fh.read()):
+        for line in data_lines(fh.read()):
             rows.append([float(tok) for tok in line.split()])
     if not rows:
         raise ValueError(f"no points in {path}")
@@ -45,7 +44,7 @@ def write_graph(path, g):
 
 def read_graph(path):
     with open(path, encoding="utf-8") as fh:
-        lines = list(_data_lines(fh.read()))
+        lines = list(data_lines(fh.read()))
     if not lines:
         raise ValueError(f"empty graph file {path}")
     n, m = (int(t) for t in lines[0].split())
@@ -72,7 +71,7 @@ def read_tree_decomposition(path):
     edges = []
     header = None
     with open(path, encoding="utf-8") as fh:
-        for line in _data_lines(fh.read()):
+        for line in data_lines(fh.read()):
             toks = line.split()
             if toks[0] == "td":
                 header = (int(toks[1]), int(toks[2]), int(toks[3]))
@@ -87,65 +86,6 @@ def read_tree_decomposition(path):
     num_bags = header[0]
     ordered = [bags[i] for i in range(num_bags)]
     return TreeDecomposition(ordered, edges)
-
-
-def write_spd(path, spd):
-    lines = []
-
-    def rec(node, level, comp_id, counter):
-        lines.append(
-            f"level {level}: path {' '.join(str(v) for v in node.path)} @ component {comp_id}"
-        )
-        for child in node.children:
-            counter[0] += 1
-            rec(child, level + 1, counter[0], counter)
-
-    rec(spd.root, 0, 0, [0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_spd(path, g):
-    """Rebuild an SPD over graph g from its level/path listing.
-
-    Components are not stored in the file: each node's component is derived
-    as the connected piece of its parent's component (minus the parent path)
-    containing the node's own path.
-    """
-    from .spanners import SpdDecomposition, SpdNode, _connected_components
-
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in _data_lines(fh.read()):
-            head, _, tail = line.partition(":")
-            level = int(head.split()[1])
-            toks = tail.split()
-            at = toks.index("@")
-            path_vs = [int(t) for t in toks[1:at]]
-            entries.append((level, path_vs))
-    if not entries or entries[0][0] != 0:
-        raise ValueError(f"SPD file {path} must start at level 0")
-    adj = g.adjacency()
-    root = SpdNode(component=list(range(g.n)), path=entries[0][1])
-    stack = [(0, root)]
-    for level, path_vs in entries[1:]:
-        while stack and stack[-1][0] >= level:
-            stack.pop()
-        if not stack or stack[-1][0] != level - 1:
-            raise ValueError(f"SPD file {path}: level {level} has no parent")
-        parent = stack[-1][1]
-        remaining = set(parent.component) - set(parent.path)
-        comp = None
-        for piece in _connected_components(adj, remaining):
-            if path_vs[0] in piece:
-                comp = piece
-                break
-        if comp is None:
-            raise ValueError(f"SPD file {path}: path head {path_vs[0]} not in any component")
-        node = SpdNode(component=comp, path=path_vs)
-        parent.children.append(node)
-        stack.append((level, node))
-    return SpdDecomposition(graph=g, root=root)
 
 
 def family_to_json(fam):
@@ -238,85 +178,6 @@ def read_spanner_edges(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return doc["stretch"], doc["hops"], [(int(u), int(v), float(w)) for u, v, w in doc["edges"]]
-
-
-def write_labels(path, labels, kind):
-    with open(path, "w", encoding="utf-8") as fh:
-        for pid in sorted(labels):
-            lab = labels[pid]
-            if kind == "rooted":
-                payload = {"entries": lab.entries}
-            elif kind == "triangle":
-                payload = {
-                    "positions": {str(k): v for k, v in lab.positions.items()},
-                    "midpoints": {str(k): v for k, v in lab.midpoints.items()},
-                }
-            else:
-                payload = {"spine": lab.spine}
-            fh.write(f"{pid} {kind} {json.dumps(payload)}\n")
-
-
-def scheme_to_json(scheme):
-    return {
-        "p": scheme.p,
-        "t": scheme.t_internal,
-        "delta": scheme.delta,
-        "xi": scheme.xi,
-        "gamma": scheme.gamma,
-        "shift": scheme.shift,
-        "shift_count": scheme.shift_count,
-        "seed": scheme.seed,
-        "i_min": scheme.i_min,
-        "i_max": scheme.i_max,
-        "centers": {str(j): scheme.centers[j].tolist() for j in scheme.centers},
-    }
-
-
-def scheme_from_json(doc):
-    from .euclidean import BallCarvingScheme
-
-    scheme = BallCarvingScheme(
-        dim=len(next(iter(doc["centers"].values()), [[0]])[0]),
-        p=doc["p"],
-        t_internal=doc["t"],
-        delta=doc["delta"],
-        xi=doc["xi"],
-        gamma=doc["gamma"],
-        shift=doc["shift"],
-        shift_count=doc["shift_count"],
-        seed=doc["seed"],
-        i_min=doc["i_min"],
-        i_max=doc["i_max"],
-    )
-    scheme.base_widths = [scheme.width(j) for j in range(scheme.gamma)]
-    for j_str, arr in doc["centers"].items():
-        scheme.centers[int(j_str)] = np.asarray(arr, dtype=np.float64)
-    return scheme
-
-
-CONFIG_KEYS = {
-    "structure",
-    "metric_source",
-    "params",
-    "seed",
-    "verify",
-    "output",
-}
-
-
-def config_to_json(config):
-    return {key: config[key] for key in sorted(config)}
-
-
-def config_from_json(doc):
-    unknown = set(doc) - CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "structure" not in doc:
-        raise ValueError("config needs a structure")
-    out = {"params": {}, "seed": 0, "verify": True, "output": None, "metric_source": None}
-    out.update(doc)
-    return out
 
 
 REPORT_KEYS = [

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .metrics import floor_log2
+
 
 def _next_pow2(n):
     return 1 << max(0, (n - 1).bit_length())
@@ -80,9 +82,7 @@ class TwoHopPathSpanner:
         y = np.asarray(j_arr, dtype=np.int64) - 1
         xor = x ^ y
         same = xor == 0
-        k = np.zeros_like(xor)
-        nz = ~same
-        k[nz] = np.floor(np.log2(xor[nz])).astype(np.int64)
+        k = floor_log2(np.maximum(xor, 1))
         l = (y >> k) << k
         l[same] = x[same] + 1
         return l
@@ -192,7 +192,7 @@ class FtTwoHopPathSpanner:
         x = np.asarray(i_arr, dtype=np.int64) - 1
         y = np.asarray(j_arr, dtype=np.int64) - 1
         xor = x ^ y
-        k = np.floor(np.log2(np.maximum(xor, 1))).astype(np.int64)
+        k = floor_log2(np.maximum(xor, 1))
         # separating segment has size 2^(k+1); cliques answer below clique_size
         cbits = self.clique_size.bit_length() - 1
         clique = (k + 1) <= cbits
@@ -201,8 +201,8 @@ class FtTwoHopPathSpanner:
         c = x >> seg
         mid = (c << seg) + (1 << k)  # 1-indexed block center
         half = self.f // 2
-        lo_cand = np.maximum.reduce([mid - half, x + 1, (c << seg) + 1])
-        hi_cand = np.minimum.reduce([mid + half, y + 1, (c + 1) << seg])
+        lo_cand = np.maximum(np.maximum(mid - half, x + 1), (c << seg) + 1)
+        hi_cand = np.minimum(np.minimum(mid + half, y + 1), (c + 1) << seg)
         found = np.zeros(x.shape, dtype=bool)
         for off in range(self.f + 1):
             cand = lo_cand + off

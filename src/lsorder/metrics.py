@@ -1,4 +1,6 @@
-"""Point sets, metric views (lp / graph / explicit matrix), nets, shared numerics.
+"""Point sets, metric views (lp / graph / explicit matrix), nets, shared numerics,
+and the package's graph layer: Dijkstra, induced components, subtree sizes and
+tree centroids over adjacency lists of (neighbor, weight) pairs.
 
 All distances are 64-bit floats.  Verifiers elsewhere compare lp distances with
 relative tolerance 1e-9; graph and ultrametric distances are compared exactly.
@@ -140,16 +142,16 @@ class WeightedGraph:
     def is_tree(self):
         if len(self.edges) != self.n - 1:
             return False
-        try:
-            graph_distances(self, [0])
-        except ValueError:
-            return False
-        return True
+        return len(components(self.adjacency(), range(self.n))) == 1
 
 
-def _dijkstra(adj, source):
-    n = len(adj)
-    dist = [math.inf] * n
+def dijkstra(adj, source, within=None):
+    """Shortest-path distances from source as a list over all vertices.
+
+    With `within` (a vertex set containing source), only paths inside it
+    count.  Unreached vertices stay at inf.
+    """
+    dist = [math.inf] * len(adj)
     dist[source] = 0.0
     heap = [(0.0, source)]
     while heap:
@@ -158,10 +160,72 @@ def _dijkstra(adj, source):
             continue
         for v, w in adj[u]:
             nd = d + w
-            if nd < dist[v]:
+            if nd < dist[v] and (within is None or v in within):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
+
+
+def _walk(adj, vertices, root):
+    """Depth-first walk of root's component inside `vertices`: the visit order
+    (every vertex after its parent) and the parent map (root -> None)."""
+    parent = {root: None}
+    order = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v, _ in adj[u]:
+            if v in vertices and v not in parent:
+                parent[v] = u
+                stack.append(v)
+    return order, parent
+
+
+def components(adj, vertices):
+    """Connected components of the subgraph induced by `vertices`, each as a
+    sorted list, in ascending order of their smallest vertex."""
+    seen = set()
+    out = []
+    for v in sorted(vertices):
+        if v not in seen:
+            order, _ = _walk(adj, vertices, v)
+            seen.update(order)
+            out.append(sorted(order))
+    return out
+
+
+def subtree_sizes(adj, alive, root):
+    """Tree `alive` hung from root: (parent map, subtree size per vertex)."""
+    order, parent = _walk(adj, alive, root)
+    size = dict.fromkeys(order, 1)
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    return parent, size
+
+
+def tree_centroid(adj, alive):
+    """Vertex of the tree `alive` minimizing the largest component left after
+    removing it (ties: lowest id)."""
+    parent, size = subtree_sizes(adj, alive, min(alive))
+    worst = {u: len(size) - s for u, s in size.items()}
+    for u, p in parent.items():
+        if p is not None:
+            worst[p] = max(worst[p], size[u])
+    return min(worst, key=lambda u: (worst[u], u))
+
+
+def floor_log2(v):
+    """Exact floor(log2 v) of a positive int64 array.
+
+    Once v >= 2^49 the float64 estimate k = log2(v) rounds up to j just below
+    2^j.  v >> k is 0 when k is one too high, 1 when it is exact and 2 or 3
+    when it is one too low, so adding sign((v >> k) - 1) corrects it.
+    """
+    v = np.asarray(v, dtype=np.int64)
+    k = np.log2(v).astype(np.int64)
+    k += np.sign((v >> k) - 1)
+    return k
 
 
 def graph_distances(g, sources=None):
@@ -173,7 +237,7 @@ def graph_distances(g, sources=None):
     sources = list(range(g.n)) if sources is None else list(sources)
     out = np.empty((len(sources), g.n))
     for row, s in enumerate(sources):
-        dist = _dijkstra(adj, s)
+        dist = dijkstra(adj, s)
         for v, dv in enumerate(dist):
             if math.isinf(dv):
                 raise ValueError(f"graph is disconnected: vertex {v} unreachable from {s}")

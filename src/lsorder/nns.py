@@ -6,7 +6,7 @@ Labels are assigned once over the host point set; the dynamic structures see
 only labels of the current subset P plus the query's label.
 """
 
-import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +51,8 @@ class PredecessorSet:
         if bucket is None:
             bucket = []
             self._buckets[hi] = bucket
-            _insort(self._directory, hi)
-        pos = _bisect(bucket, x)
+            insort(self._directory, hi)
+        pos = bisect_left(bucket, x)
         if pos < len(bucket) and bucket[pos] == x:
             return False
         bucket.insert(pos, x)
@@ -67,7 +67,7 @@ class PredecessorSet:
         bucket = self._buckets.get(hi)
         if not bucket:
             return False
-        pos = _bisect(bucket, x)
+        pos = bisect_left(bucket, x)
         if pos >= len(bucket) or bucket[pos] != x:
             return False
         bucket.pop(pos)
@@ -88,10 +88,10 @@ class PredecessorSet:
         hi = q >> self.bucket_bits
         bucket = self._buckets.get(hi)
         if bucket:
-            pos = _bisect(bucket, q + 1)
+            pos = bisect_left(bucket, q + 1)
             if pos > 0:
                 return bucket[pos - 1]
-        dpos = _bisect(self._directory, hi)
+        dpos = bisect_left(self._directory, hi)
         if dpos > 0:
             return self._buckets[self._directory[dpos - 1]][-1]
         return None
@@ -102,10 +102,10 @@ class PredecessorSet:
         hi = q >> self.bucket_bits
         bucket = self._buckets.get(hi)
         if bucket:
-            pos = _bisect(bucket, q)
+            pos = bisect_left(bucket, q)
             if pos < len(bucket):
                 return bucket[pos]
-        dpos = _bisect(self._directory, hi + 1)
+        dpos = bisect_left(self._directory, hi + 1)
         if dpos < len(self._directory):
             return self._buckets[self._directory[dpos]][0]
         return None
@@ -115,21 +115,6 @@ class PredecessorSet:
         for hi in self._directory:
             out.extend(self._buckets[hi])
         return out
-
-
-def _bisect(arr, x):
-    lo, hi = 0, len(arr)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if arr[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _insort(arr, x):
-    arr.insert(_bisect(arr, x), x)
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +420,6 @@ def _mid_weight(label, oid, mid_pos):
         if pos == mid_pos:
             return dist
     raise KeyError(f"midpoint {mid_pos} not in label of {label.point} (ordering {oid})")
-
-
-ULTRAMETRIC_STRATEGIES = ("lca", "distance-labeling", "jl")
-
-
-def make_ultrametric_nns(hst, strategy="lca"):
-    """Strategy selector for ultrametric NNS.  Only the exact lca-label route
-    is built; the other strategies are cited machinery and error out."""
-    if strategy == "lca":
-        return UltrametricNns(hst)
-    if strategy in ULTRAMETRIC_STRATEGIES:
-        raise NotImplementedError(f"out of scope: ultrametric NNS strategy {strategy!r}")
-    raise ValueError(f"unknown ultrametric NNS strategy {strategy!r}")
 
 
 def label_budget_report(labels):

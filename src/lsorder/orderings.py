@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import WeightedGraph, graph_distances
+from .metrics import components, dijkstra, graph_distances, tree_centroid
 
 VERIFY_TOL = 1e-9
 
@@ -268,51 +268,6 @@ def _tree_adjacency(tree):
     return tree.adjacency()
 
 
-def _component_distances(adj, root, alive):
-    """Tree distances from root within the alive-vertex component."""
-    dist = {root: 0.0}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v, w in adj[u]:
-            if v in alive and v not in dist:
-                dist[v] = dist[u] + w
-                stack.append(v)
-    return dist
-
-
-def _centroid(adj, alive):
-    """Vertex minimizing the largest remaining component (ties: lowest id)."""
-    comp = sorted(alive)
-    if len(comp) == 1:
-        return comp[0]
-    sizes = {}
-    order = []
-    parent = {comp[0]: None}
-    stack = [comp[0]]
-    seen = {comp[0]}
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v, _ in adj[u]:
-            if v in alive and v not in seen:
-                seen.add(v)
-                parent[v] = u
-                stack.append(v)
-    for u in reversed(order):
-        sizes[u] = 1 + sum(sizes[v] for v, _ in adj[u] if v in alive and parent.get(v) == u)
-    total = len(comp)
-    best, best_val = None, None
-    for u in order:
-        worst = total - sizes[u]
-        for v, _ in adj[u]:
-            if v in alive and parent.get(v) == u:
-                worst = max(worst, sizes[v])
-        if best_val is None or worst < best_val or (worst == best_val and u < best):
-            best, best_val = u, worst
-    return best
-
-
 def build_rooted_lso_tree(tree):
     """Rooted family via vertex-centroid decomposition: exact (rho = 1),
     each point in at most ceil(log2 n) + 1 orderings."""
@@ -323,25 +278,11 @@ def build_rooted_lso_tree(tree):
         alive = stack.pop()
         if len(alive) < 2:
             continue  # singleton components serve no pair
-        c = _centroid(adj, alive)
-        dist = _component_distances(adj, c, alive)
+        c = tree_centroid(adj, alive)
+        dist = dijkstra(adj, c, within=alive)
         members = sorted(alive, key=lambda v: (dist[v], v))
         orderings.append(Ordering(members, root=c))
-        remaining = alive - {c}
-        seen = set()
-        for v in sorted(remaining):
-            if v in seen:
-                continue
-            comp = set()
-            st = [v]
-            comp.add(v)
-            while st:
-                u = st.pop()
-                for wv, _ in adj[u]:
-                    if wv in remaining and wv not in comp:
-                        comp.add(wv)
-                        st.append(wv)
-            seen |= comp
+        for comp in components(adj, alive - {c}):
             stack.append(frozenset(comp))
     fam = OrderingFamily(ROOTED, orderings, rho=1.0)
     fam.meta["construction"] = "tree-centroid"
@@ -364,10 +305,11 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags) - 1
 
     def bag_adjacency(self):
+        """Bag tree as (neighbor, weight) adjacency lists with unit weights."""
         adj = [[] for _ in self.bags]
         for a, b in self.tree_edges:
-            adj[a].append(b)
-            adj[b].append(a)
+            adj[a].append((b, 1.0))
+            adj[b].append((a, 1.0))
         return adj
 
     def validate(self, g):
@@ -381,32 +323,15 @@ class TreeDecomposition:
         if self.num_bags > 1 and len(self.tree_edges) != self.num_bags - 1:
             raise ValueError("bag tree is not a tree: wrong edge count")
         adj = self.bag_adjacency()
-        seen = {0}
-        st = [0]
-        while st:
-            u = st.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    st.append(v)
-        if len(seen) != self.num_bags:
+        if len(components(adj, range(self.num_bags))) != 1:
             raise ValueError("bag tree is not a tree: disconnected")
         bagsets = [set(b) for b in self.bags]
         for u, v, _ in g.edges:
             if not any(u in bs and v in bs for bs in bagsets):
                 raise ValueError(f"edge coverage violated: edge ({u},{v}) in no bag")
         for v in range(g.n):
-            nodes = [i for i, bs in enumerate(bagsets) if v in bs]
-            nodeset = set(nodes)
-            seen_v = {nodes[0]}
-            st = [nodes[0]]
-            while st:
-                a = st.pop()
-                for b in adj[a]:
-                    if b in nodeset and b not in seen_v:
-                        seen_v.add(b)
-                        st.append(b)
-            if len(seen_v) != len(nodes):
+            nodes = {i for i, bs in enumerate(bagsets) if v in bs}
+            if len(components(adj, nodes)) != 1:
                 raise ValueError(
                     f"vertex connectivity violated: bags containing {v} are not a subtree"
                 )
@@ -415,27 +340,11 @@ class TreeDecomposition:
 def _balanced_bag(nodes, adj):
     """Bag node minimizing the largest remaining bag-count (ties: lowest id)."""
     nodeset = set(nodes)
-    best, best_val = None, None
-    for cand in sorted(nodes):
-        remaining = nodeset - {cand}
-        seen = set()
-        worst = 0
-        for v in sorted(remaining):
-            if v in seen:
-                continue
-            comp = {v}
-            st = [v]
-            while st:
-                u = st.pop()
-                for wv in adj[u]:
-                    if wv in remaining and wv not in comp:
-                        comp.add(wv)
-                        st.append(wv)
-            seen |= comp
-            worst = max(worst, len(comp))
-        if best_val is None or worst < best_val:
-            best, best_val = cand, worst
-    return best
+
+    def largest_left(cand):
+        return max(map(len, components(adj, nodeset - {cand})), default=0)
+
+    return min(sorted(nodes), key=largest_left)
 
 
 def build_rooted_lso_treewidth(g, decomp):
@@ -479,20 +388,7 @@ def build_rooted_lso_treewidth(g, decomp):
             }
         )
         new_removed = removed | set(bag_orig)
-        remaining_nodes = nodes - {sep}
-        seen = set()
-        for v in sorted(remaining_nodes):
-            if v in seen:
-                continue
-            comp = {v}
-            st = [v]
-            while st:
-                u = st.pop()
-                for wv in adj[u]:
-                    if wv in remaining_nodes and wv not in comp:
-                        comp.add(wv)
-                        st.append(wv)
-            seen |= comp
+        for comp in components(adj, nodes - {sep}):
             stack.append((frozenset(comp), new_removed))
     fam = OrderingFamily(ROOTED, orderings, rho=1.0)
     fam.meta["construction"] = "treewidth-balanced-bags"

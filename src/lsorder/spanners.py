@@ -7,8 +7,8 @@ explicit path whose edges are present in the edge set.  The all-pairs checks
 used by tests run vectorized over orderings.
 """
 
-import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +20,15 @@ from .hopsets import (
     ThreeHopPathSpanner,
     TwoHopPathSpanner,
 )
-from .metrics import WeightedGraph, graph_distances, min_max_pairwise
+from .metrics import (
+    WeightedGraph,
+    components,
+    dijkstra,
+    graph_distances,
+    min_max_pairwise,
+    subtree_sizes,
+    tree_centroid,
+)
 from .orderings import CLASSIC, ROOTED, TRIANGLE, build_rooted_lso_tree
 
 
@@ -209,13 +217,13 @@ class SpdDecomposition:
                     raise ValueError(f"SPD level {level}: path edge ({a},{b}) missing")
                 total += weights[(a, b)]
             if len(node.path) > 1:
-                dist = _component_dijkstra(adj, comp, node.path[0])
+                dist = dijkstra(adj, node.path[0], within=comp)
                 if not math.isclose(dist[node.path[-1]], total, rel_tol=1e-9):
                     raise ValueError(
                         f"SPD level {level}: removed path is not a shortest path"
                     )
             remaining = comp - set(node.path)
-            comps = _connected_components(adj, remaining)
+            comps = components(adj, remaining)
             declared = [frozenset(c.component) for c in node.children]
             if sorted(map(sorted, comps)) != sorted(map(sorted, declared)):
                 raise ValueError(f"SPD level {level}: children do not match components")
@@ -223,55 +231,6 @@ class SpdDecomposition:
                 rec(child, level + 1)
 
         rec(self.root, 0)
-
-
-def _component_dijkstra(adj, comp, source):
-    dist = {v: math.inf for v in comp}
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            if v in dist and d + w < dist[v]:
-                dist[v] = d + w
-                heapq.heappush(heap, (d + w, v))
-    return dist
-
-
-def _nearest_cum_index(cum, target):
-    lo, hi = 0, len(cum)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cum[mid] < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo == 0:
-        return 0
-    if lo >= len(cum):
-        return len(cum) - 1
-    return lo if cum[lo] - target < target - cum[lo - 1] else lo - 1
-
-
-def _connected_components(adj, vertices):
-    seen = set()
-    out = []
-    for v in sorted(vertices):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for wv, _ in adj[u]:
-                if wv in vertices and wv not in comp:
-                    comp.add(wv)
-                    stack.append(wv)
-        seen |= comp
-        out.append(sorted(comp))
-    return out
 
 
 def tree_heavy_path_spd(g):
@@ -282,88 +241,35 @@ def tree_heavy_path_spd(g):
 
     def build(comp):
         comp = set(comp)
-        if len(comp) == 1:
-            return SpdNode(component=sorted(comp), path=sorted(comp))
-        sizes = {}
-        order = []
-        root = min(comp)
-        parent = {root: None}
-        stack = [root]
-        seen = {root}
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for v, _ in adj[u]:
-                if v in comp and v not in seen:
-                    seen.add(v)
-                    parent[v] = u
-                    stack.append(v)
-        for u in reversed(order):
-            sizes[u] = 1 + sum(
-                sizes[v] for v, _ in adj[u] if v in comp and parent.get(v) == u
-            )
-        total = len(comp)
-        centroid, best = None, None
-        for u in order:
-            worst = total - sizes[u]
-            for v, _ in adj[u]:
-                if v in comp and parent.get(v) == u:
-                    worst = max(worst, sizes[v])
-            if best is None or worst < best or (worst == best and u < centroid):
-                centroid, best = u, worst
+        centroid = tree_centroid(adj, comp)
+        parent, size = subtree_sizes(adj, comp, centroid)
+
+        def children(u):
+            """Subtrees below u, heaviest first (ties: lowest id)."""
+            kids = [v for v, _ in adj[u] if v in comp and parent[v] == u]
+            return sorted(kids, key=lambda v: (-size[v], v))
 
         # heavy walk through the centroid in its two largest directions,
         # so hanging components keep the <= n/2 size guarantee
-        def walk(start, prev):
-            out = []
-            cur, last = start, prev
-            while True:
-                out.append(cur)
-                nxt, nxt_size = None, -1
-                for v, _ in adj[cur]:
-                    if v in comp and v != last:
-                        s = _subtree_size(adj, comp, v, cur)
-                        if s > nxt_size or (s == nxt_size and v < nxt):
-                            nxt, nxt_size = v, s
-                if nxt is None:
-                    return out
-                last, cur = cur, nxt
+        def walk(start):
+            out = [start]
+            while kids := children(out[-1]):
+                out.append(kids[0])
+            return out
 
-        nbrs = [
-            (v, _subtree_size(adj, comp, v, centroid))
-            for v, _ in adj[centroid]
-            if v in comp
-        ]
-        nbrs.sort(key=lambda t: (-t[1], t[0]))
-        if not nbrs:
+        top = children(centroid)
+        if not top:
             path = [centroid]
-        elif len(nbrs) == 1:
-            path = [centroid] + walk(nbrs[0][0], centroid)
+        elif len(top) == 1:
+            path = [centroid] + walk(top[0])
         else:
-            path = list(reversed(walk(nbrs[0][0], centroid))) + [centroid] + walk(
-                nbrs[1][0], centroid
-            )
+            path = walk(top[0])[::-1] + [centroid] + walk(top[1])
         node = SpdNode(component=sorted(comp), path=path)
-        remaining = comp - set(path)
-        for sub in _connected_components(adj, remaining):
+        for sub in components(adj, comp - set(path)):
             node.children.append(build(sub))
         return node
 
     return SpdDecomposition(graph=g, root=build(range(g.n)))
-
-
-def _subtree_size(adj, comp, root, block):
-    size = 0
-    stack = [root]
-    seen = {root, block}
-    while stack:
-        u = stack.pop()
-        size += 1
-        for v, _ in adj[u]:
-            if v in comp and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return size
 
 
 def treewidth_bag_spd(g, decomp):
@@ -389,7 +295,7 @@ def treewidth_bag_spd(g, decomp):
             pending = sorted(bagsets[sep] & comp_set) or [min(comp_set)]
         x = pending[0]
         node = SpdNode(component=sorted(comp_set), path=[x])
-        for child in _connected_components(adj_g, comp_set - {x}):
+        for child in components(adj_g, comp_set - {x}):
             node.children.append(build(child, pending[1:]))
         return node
 
@@ -409,88 +315,67 @@ class SpdSpanner(PathReportingSpanner):
         self.eps = eps
         self.spd = spd
         self.mat = graph_distances(g)
+        self.adj = g.adjacency()
         self.levels = []  # per node: dict with landmarks and tree structures
         self._build_node(spd.root)
 
     def _build_node(self, node):
-        comp = node.component
-        sub = {v: i for i, v in enumerate(comp)}
-        adjg = self.spd.graph.adjacency()
-        # distances within the component
-        dmat = {}
-        for v in comp:
-            dmat[v] = _component_dijkstra(adjg, set(comp), v)
+        comp = set(node.component)
         path = node.path
+        # distances within the component, from each path vertex
+        to_path = [dijkstra(self.adj, x, within=comp) for x in path]
         cum = [0.0]
-        for a, b in zip(path, path[1:]):
-            cum.append(cum[-1] + dmat[a][b])
+        for i in range(len(path) - 1):
+            cum.append(cum[-1] + to_path[i][path[i + 1]])
         landmarks = {}
         cap = max(1, int(math.ceil(2.0 / self.eps))) + 2
-        for v in comp:
-            proj_idx = min(range(len(path)), key=lambda i: (dmat[v][path[i]], i))
-            dvp = dmat[v][path[proj_idx]]
+        for v in node.component:
+            proj_idx = min(range(len(path)), key=lambda i: (to_path[i][v], i))
+            dvp = to_path[proj_idx][v]
             picks = {0, len(path) - 1, proj_idx}
             if dvp > 0:
+                step = self.eps / 4.0 * dvp
                 for direction in (-1, 1):
-                    step = self.eps / 4.0 * dvp
-                    j = 0
-                    while j < cap:
+                    for j in range(cap):
                         offset = step * (1 + self.eps / 2.0) ** j
                         target = cum[proj_idx] + direction * offset
                         if target < 0 or target > cum[-1]:
                             break
-                        idx = _nearest_cum_index(cum, target)
+                        # path index whose cumulative length is nearest target
+                        idx = bisect_left(cum, target)
+                        if idx and target - cum[idx - 1] <= cum[idx] - target:
+                            idx -= 1
                         picks.add(idx)
-                        j += 1
             landmarks[v] = sorted(picks)
         # auxiliary tree: path spine + one leaf copy per (v, landmark)
         tree_edges = []
-        vid = {}
-        for i, x in enumerate(path):
-            vid[("path", i)] = i
-        next_id = len(path)
         for a in range(len(path) - 1):
             w = cum[a + 1] - cum[a]
-            if w > 0:
-                tree_edges.append((a, a + 1, w))
-            else:
-                tree_edges.append((a, a + 1, 1e-12))
+            tree_edges.append((a, a + 1, w if w > 0 else 1e-12))
+        orig = dict(enumerate(path))
         copies = {}
-        for v in comp:
+        for v in node.component:
             for i in landmarks[v]:
-                cid = next_id
-                next_id += 1
+                cid = len(orig)
                 copies[(v, i)] = cid
-                w = dmat[v][path[i]]
+                orig[cid] = v
+                w = to_path[i][v]
                 tree_edges.append((cid, i, w if w > 0 else 1e-12))
-        tp = WeightedGraph(next_id, tree_edges)
-        fam = build_rooted_lso_tree(tp) if next_id > 1 else None
-        tp_dist = graph_distances(tp) if next_id > 1 else np.zeros((1, 1))
-        orig = {}
-        for i in range(len(path)):
-            orig[i] = path[i]
-        for (v, _i), cid in copies.items():
-            orig[cid] = v
-        if fam is not None:
-            for o in fam.orderings:
-                r = orig[o.root]
-                for member in o.perm:
-                    mv = orig[member]
-                    if mv != r:
-                        self.add_edge(mv, r, self.mat[mv, r])
-        membership = fam.membership() if fam is not None else {}
+        fam = build_rooted_lso_tree(WeightedGraph(len(orig), tree_edges))
+        for o in fam.orderings:
+            r = orig[o.root]
+            for member in o.perm:
+                mv = orig[member]
+                if mv != r:
+                    self.add_edge(mv, r, self.mat[mv, r])
         self.levels.append(
             {
-                "node": node,
-                "comp": set(comp),
-                "path": path,
-                "cum": cum,
+                "comp": comp,
                 "landmarks": landmarks,
                 "copies": copies,
                 "fam": fam,
                 "orig": orig,
-                "membership": membership,
-                "tp_dist": tp_dist,
+                "membership": fam.membership(),
             }
         )
         for child in node.children:
@@ -528,8 +413,6 @@ class SpdSpanner(PathReportingSpanner):
 
     def _tree_two_hop(self, level, cu, cv, u, v):
         fam = level["fam"]
-        if fam is None:
-            return None
         best = None
         for k in level["membership"].get(cu, []):
             o = fam.orderings[k]
@@ -618,9 +501,11 @@ class TzSpanner(PathReportingSpanner):
                 self.add_edge(v, p, dp)
 
     def query(self, u, v):
-        """The classic alternating pivot walk; returns the 2-hop path."""
+        """The classic alternating pivot walk: (2-hop path, weight).  The walk's
+        iteration count is left in last_iters."""
         if u == v:
-            return [u], 0.0, 0
+            self.last_iters = 0
+            return [u], 0.0
         w = u
         i = 0
         a, b = u, v
@@ -632,7 +517,8 @@ class TzSpanner(PathReportingSpanner):
             w = self.oracle.pivots[(i, a)][0]
         path = [u] + ([w] if w not in (u, v) else []) + [v]
         weight = sum(self.mat[x, y] for x, y in zip(path, path[1:]))
-        return path, weight, iters
+        self.last_iters = iters
+        return path, weight
 
 
 def tz_spanner(metric, k, seed=0):
@@ -687,7 +573,7 @@ class SparseCoverSpanner(PathReportingSpanner):
 
     MAX_SCALES = 64
 
-    def __init__(self, metric, k, eps, estimator, seed=0):
+    def __init__(self, metric, k, eps, estimator):
         super().__init__(metric.n, (1 + eps) * (4 * k - 2), 2)
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -710,14 +596,6 @@ class SparseCoverSpanner(PathReportingSpanner):
             for center, members in scale.clusters:
                 for p in members:
                     self.add_edge(p, center, self.mat[p, center])
-        self.memberships = self._memberships()
-
-    def _memberships(self):
-        counts = np.zeros(self.n, dtype=np.int64)
-        for scale in self.scales:
-            for _, members in scale.clusters:
-                counts[members] += 1
-        return counts
 
     def _scale_index(self, value):
         if value <= self.scale0:
@@ -725,15 +603,19 @@ class SparseCoverSpanner(PathReportingSpanner):
         return int(math.floor(math.log(value / self.scale0) / math.log(1 + self.eps)))
 
     def query(self, u, v):
+        """Lightest path through a home cluster over the estimator's scale
+        window: (path, weight).  The number of scales scanned is left in
+        last_scanned."""
         if u == v:
-            return [u], 0.0, 0
+            self.last_scanned = 0
+            return [u], 0.0
         est = self.estimator(u, v)
         lo = self._scale_index(est / (2 * self.k - 1))
         hi = self._scale_index(est) + 2
+        window = range(max(0, lo), min(hi, len(self.scales) - 1) + 1)
+        self.last_scanned = len(window)
         best = None
-        scanned = 0
-        for i in range(max(0, lo), min(hi, len(self.scales) - 1) + 1):
-            scanned += 1
+        for i in window:
             scale = self.scales[i]
             cidx = scale.home.get(u)
             if cidx is None:
@@ -748,7 +630,7 @@ class SparseCoverSpanner(PathReportingSpanner):
             raise RuntimeError(
                 f"estimator fault: no scanned scale serves pair ({u},{v})"
             )
-        return best[0], best[1], scanned
+        return best
 
     def verify_padding(self):
         """Cover padding: every Delta-ball around a point sits in its home
@@ -769,8 +651,8 @@ class SparseCoverSpanner(PathReportingSpanner):
         return True
 
 
-def sparse_cover_spanner(metric, k, eps, estimator, seed=0):
-    return SparseCoverSpanner(metric, k, eps, estimator, seed)
+def sparse_cover_spanner(metric, k, eps, estimator):
+    return SparseCoverSpanner(metric, k, eps, estimator)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +675,6 @@ class FtOrderingSpanner(PathReportingSpanner):
         self.fam = fam
         self.kind = fam.kind
         self.mat = metric.matrix()
-        self.f_requested = f
         self.membership = fam.membership()
         if fam.kind == ROOTED:
             self.f = f
@@ -974,23 +855,10 @@ def spanner_oracle_triangle(fam, metric, hops=2):
 
 
 def shortest_paths_on_edges(n, edges, sources):
-    """Dijkstra over an explicit edge list (for oracle stretch checks)."""
+    """Distances from each source over an explicit edge list (for oracle
+    stretch checks); unreachable vertices stay at inf."""
     adj = [[] for _ in range(n)]
     for u, v, w in edges:
         adj[u].append((v, w))
         adj[v].append((u, w))
-    out = {}
-    for s in sources:
-        dist = [math.inf] * n
-        dist[s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w in adj[u]:
-                if d + w < dist[v]:
-                    dist[v] = d + w
-                    heapq.heappush(heap, (d + w, v))
-        out[s] = dist
-    return out
+    return {s: dijkstra(adj, s) for s in sources}

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from lsorder import fileio
-from lsorder.cli import main
+from lsorder.cli import load_metric, main, make_parser
 from lsorder.metrics import LpMetric, PointSet, WeightedGraph, shortest_path_metric
 from lsorder.orderings import Ordering, OrderingFamily, build_rooted_lso_tree
 
@@ -83,14 +84,6 @@ def test_family_roundtrip(tmp_path):
     assert back.kind == "rooted"
     assert [o.perm for o in back.orderings] == [[2, 0, 1], [1, 0]]
     assert back.orderings[0].root == 2
-
-
-def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config keys"):
-        fileio.config_from_json({"structure": "tz", "bogus": 1})
-    cfg = fileio.config_from_json({"structure": "tz", "seed": 5})
-    assert cfg["seed"] == 5
-    assert fileio.config_from_json(json.loads(json.dumps(fileio.config_to_json(cfg)))) == cfg
 
 
 def test_verify_pass_and_exit_codes(tmp_path):
@@ -240,61 +233,34 @@ def test_cover_roundtrip(tmp_path):
     assert np.allclose(back.min_distance_matrix(), cover.min_distance_matrix())
 
 
-def test_spd_file_roundtrip(tmp_path):
-    from lsorder.spanners import tree_heavy_path_spd
-
-    rng = np.random.default_rng(7)
-    g = WeightedGraph(
-        30, [(int(rng.integers(0, v)), v, float(rng.integers(1, 4))) for v in range(1, 30)]
-    )
-    spd = tree_heavy_path_spd(g)
-    path = tmp_path / "spd.txt"
-    fileio.write_spd(path, spd)
-    back = fileio.read_spd(path, g)
-    back.validate()
-    assert back.depth() == spd.depth()
-    assert back.root.path == spd.root.path
+def _metric_args(path, *extra):
+    return make_parser().parse_args(["verify", "--input", str(path), "--family", "-", *extra])
 
 
-def test_scheme_json_roundtrip():
-    from lsorder.euclidean import carve_scale, sample_scheme
-
-    ps = PointSet(np.random.default_rng(8).uniform(size=(20, 2)))
-    scheme = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=1, shift_count=3, seed=9)
-    doc = json.loads(json.dumps(fileio.scheme_to_json(scheme)))
-    back = fileio.scheme_from_json(doc)
-    assert back.xi == scheme.xi and back.gamma == scheme.gamma
-    for j in scheme.centers:
-        assert np.array_equal(back.centers[j], scheme.centers[j])
-    a = carve_scale(ps, scheme, scheme.i_max)
-    b = carve_scale(ps, back, scheme.i_max)
-    assert a.assignment == b.assignment
-
-
-def test_labels_file(tmp_path):
-    from lsorder.nns import assign_rooted_labels
-
-    g = WeightedGraph(5, [(0, i, 1.0) for i in range(1, 5)])
-    fam = build_rooted_lso_tree(g)
-    labels = assign_rooted_labels(fam, shortest_path_metric(g))
-    path = tmp_path / "labels.txt"
-    fileio.write_labels(path, labels, "rooted")
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 5
-    pid, kind, payload = lines[0].split(" ", 2)
-    assert kind == "rooted"
-    assert "entries" in json.loads(payload)
+def test_integer_point_file_is_not_a_graph(tmp_path):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("# four integer points\n0 0\n1 0\n0 1\n3 4\n")
+    metric, g, ps = load_metric(_metric_args(pts))
+    assert g is None and ps.n == 4
+    assert metric.dist(0, 3) == 5.0
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 2\n0 1 1\n1 2 2\n")
+    metric, g, ps = load_metric(_metric_args(graph))
+    assert ps is None and g.n == 3
+    assert metric.dist(0, 2) == 3.0
+    single = tmp_path / "single.txt"
+    single.write_text("1 0\n")
+    _, g, ps = load_metric(_metric_args(single))
+    assert ps is None and g.n == 1
 
 
-def test_ultrametric_strategy_stubs():
-    from lsorder.nns import make_ultrametric_nns
-    from tests.test_nns import random_hst
-
-    hst = random_hst(8, 3)
-    assert make_ultrametric_nns(hst, "lca") is not None
-    with pytest.raises(NotImplementedError, match="out of scope"):
-        make_ultrametric_nns(hst, "distance-labeling")
-    with pytest.raises(NotImplementedError, match="out of scope"):
-        make_ultrametric_nns(hst, "jl")
-    with pytest.raises(ValueError):
-        make_ultrametric_nns(hst, "bogus")
+def test_p_flag_passes_through(tmp_path):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.0 0.0\n1.0 0.0\n0.0 1.0\n3.0 4.0\n")
+    metric, _, _ = load_metric(_metric_args(pts, "--p", "inf"))
+    assert metric.p == math.inf and metric.dist(0, 3) == 4.0
+    with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+        load_metric(_metric_args(pts, "--p", "0"))
+    with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+        main(["build", "--structure", "triangle-lso", "--input", str(pts), "--p", "0",
+              "--out", str(tmp_path / "fam.json")])

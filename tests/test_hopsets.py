@@ -100,6 +100,18 @@ def test_two_hop_query_batch_matches_scalar():
         assert l == s.query(int(a), int(b))
 
 
+def test_two_hop_query_batch_exact_at_huge_n():
+    # boundary pairs (2^k - 1, 2^k) and (2^k, 2^k + 1): float64 log2 of their
+    # xor rounds up once it reaches 2^49
+    n = 1 << 62
+    s = TwoHopPathSpanner(n)
+    ks = range(1, 62)
+    lo = [(1 << k) - 1 for k in ks] + [1 << k for k in ks] + [1]
+    hi = [1 << k for k in ks] + [(1 << k) + 1 for k in ks] + [n]
+    batch = s.query_batch(lo, hi)
+    assert batch.tolist() == [s.query(a, b) for a, b in zip(lo, hi)]
+
+
 def test_two_hop_edge_size_bound():
     for delta in (3, 6, 10):
         n = 1 << delta

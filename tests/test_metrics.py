@@ -11,9 +11,13 @@ from lsorder.metrics import (
     WeightedGraph,
     aspect_ratio,
     build_epsilon_net,
+    components,
+    dijkstra,
+    floor_log2,
     graph_distances,
     lp_distance,
     shortest_path_metric,
+    tree_centroid,
 )
 
 
@@ -188,3 +192,78 @@ def test_matrix_metric_validation():
         MatrixMetric([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
         MatrixMetric([[1.0]])
+
+
+# --- graph layer ----------------------------------------------------------
+
+
+def induced_components_reference(g, subset):
+    """Union-find over the edges with both ends in subset."""
+    root = {v: v for v in subset}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v, _ in g.edges:
+        if u in root and v in root:
+            root[find(u)] = find(v)
+    groups = {}
+    for v in subset:
+        groups.setdefault(find(v), []).append(v)
+    return sorted((sorted(c) for c in groups.values()), key=lambda c: c[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_components_match_bruteforce(seed):
+    g = random_connected_graph(40, 10, seed=seed)
+    rng = np.random.default_rng(100 + seed)
+    subset = {int(v) for v in rng.choice(g.n, size=22, replace=False)}
+    expected = induced_components_reference(g, subset)
+    assert len(expected) > 1
+    assert components(g.adjacency(), subset) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dijkstra_within_matches_induced_subgraph(seed):
+    g = random_connected_graph(40, 25, seed=seed)
+    rng = np.random.default_rng(200 + seed)
+    subset = {int(v) for v in rng.choice(g.n, size=28, replace=False)}
+    adj = g.adjacency()
+    for comp in induced_components_reference(g, subset):
+        index = {v: i for i, v in enumerate(comp)}
+        sub = WeightedGraph(
+            len(comp), [(index[u], index[v], w) for u, v, w in g.edges if u in index and v in index]
+        )
+        ref = graph_distances(sub)
+        for s in comp:
+            dist = dijkstra(adj, s, within=subset)
+            assert [dist[v] for v in comp] == ref[index[s]].tolist()
+            assert all(math.isinf(dist[v]) for v in range(g.n) if v not in index)
+
+
+def test_tree_centroid_tie_break_on_paths():
+    # even path: two centers, the lower id wins; odd path: the unique middle
+    even = [0, 4, 5, 2, 3, 1]
+    odd = [6, 0, 4, 5, 2, 3, 1]
+    for order, expected in ((even, 2), (odd, 5)):
+        g = WeightedGraph(len(order), [(a, b, 1.0) for a, b in zip(order, order[1:])])
+        assert tree_centroid(g.adjacency(), set(order)) == expected
+    # within an alive sub-path 4-5-2-3 the centers are 5 and 2
+    g = WeightedGraph(6, [(a, b, 1.0) for a, b in zip(even, even[1:])])
+    assert tree_centroid(g.adjacency(), {4, 5, 2, 3}) == 2
+    assert tree_centroid(g.adjacency(), {3}) == 3
+
+
+def test_is_tree_rejects_disconnected_graph_with_n_minus_1_edges():
+    g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    assert not g.is_tree()
+    assert WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).is_tree()
+
+
+def test_floor_log2_exact():
+    vals = [v for k in range(1, 63) for v in range((1 << k) - 2, (1 << k) + 3) if v > 0]
+    vals += [(1 << 63) - 1]
+    vals += np.random.default_rng(0).integers(1, 1 << 63, size=20_000, dtype=np.int64).tolist()
+    assert floor_log2(np.asarray(vals, dtype=np.int64)).tolist() == [v.bit_length() - 1 for v in vals]

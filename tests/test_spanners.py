@@ -269,9 +269,9 @@ def test_tz_k1_complete_exact():
     mat = metric.matrix()
     for u in range(12):
         for v in range(u + 1, 12):
-            path, w, iters = sp.query(u, v)
+            path, w = sp.query(u, v)
             assert w == pytest.approx(mat[u, v])
-            assert iters == 0
+            assert sp.last_iters == 0
 
 
 def test_tz_uniform_metric():
@@ -280,9 +280,9 @@ def test_tz_uniform_metric():
     sp = tz_spanner(metric, k=2, seed=1)
     for u in range(n):
         for v in range(u + 1, n):
-            path, w, iters = sp.query(u, v)
+            path, w = sp.query(u, v)
             assert w <= 3.0
-            assert iters <= 2
+            assert sp.last_iters <= 2
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -294,10 +294,10 @@ def test_tz_random_metric(k):
     assert sp.total_bunch <= 4 * k * n ** (1 + 1 / k)
     for u in range(n):
         for v in range(u + 1, n):
-            path, w, iters = sp.query(u, v)
+            path, w = sp.query(u, v)
             sp.check_path(path)
             assert len(path) - 1 <= 2
-            assert iters <= k
+            assert sp.last_iters <= k
             assert w <= (2 * k - 1) * mat[u, v] * (1 + 1e-9)
 
 
@@ -327,7 +327,7 @@ def test_sparse_cover_two_points():
     metric = LpMetric(PointSet([[0.0], [1.0]]), 1)
     sp = tz_spanner(metric, k=2, seed=4)
     cover = sparse_cover_spanner(metric, k=2, eps=0.25, estimator=lambda u, v: sp.query(u, v)[1])
-    path, w, scanned = cover.query(0, 1)
+    path, w = cover.query(0, 1)
     assert w == pytest.approx(1.0)
 
 
@@ -339,7 +339,7 @@ def test_sparse_cover_uniform():
     bound = 1.25 * 6
     for u in range(n):
         for v in range(u + 1, n):
-            path, w, scanned = cover.query(u, v)
+            path, w = cover.query(u, v)
             assert w <= bound
 
 
@@ -355,10 +355,10 @@ def test_sparse_cover_random_metric():
     scan_cap = math.ceil(math.log(2 * k) / math.log(1 + eps)) + 3
     for u in range(n):
         for v in range(u + 1, n):
-            path, w, scanned = cover.query(u, v)
+            path, w = cover.query(u, v)
             cover.check_path(path)
             assert w <= (1 + eps) * (4 * k - 2) * mat[u, v] * (1 + 1e-9)
-            assert scanned <= scan_cap
+            assert cover.last_scanned <= scan_cap
 
 
 # --- fault tolerance ------------------------------------------------------
