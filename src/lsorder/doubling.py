@@ -6,7 +6,9 @@ empirically certified padding; per scale chain, unrelated partitions are
 rounded bottom-up into a laminar hierarchy (cluster diameters grow by at most
 1+eps); the hierarchy becomes an HST whose level-i label is (1+eps)*Delta_i;
 shifted scale ladders make the union a dominating ultrametric cover; leaf
-preorders of the HSTs form a triangle family with rho = cover stretch.
+preorders of the HSTs form a triangle family with rho = cover stretch.  The
+same preorder gives every HST distance: d_U(x_i, x_j) is the window max of
+the lca labels of adjacent leaves x_k, x_k+1 for i <= k < j.
 """
 
 import math
@@ -184,76 +186,60 @@ class HstNode:
 
 class HST:
     """Hierarchical tree: leaves biject to points, internal labels
-    nonincreasing toward the leaves, d(x, y) = label of the lca."""
+    nonincreasing toward the leaves, d(x, y) = label of the lca.
+
+    One walk at construction records the leaf preorder (children in ascending
+    min-point order) and the lca node of each pair of adjacent leaves.  Along
+    that preorder d(x_i, x_j) = max over i <= k < j of d(x_k, x_k+1), so every
+    distance is a window max over the adjacent labels, read at call time.
+    """
 
     def __init__(self, root, n):
         self.root = root
         self.n = n
-        self._leaf_order = []
-        self._collect(root)
-        if sorted(p for p in self._leaf_order) != list(range(n)):
+        _, self._preorder, self._joins = _walk(root)
+        if sorted(self._preorder) != list(range(n)):
             raise ValueError("HST leaves must biject to point ids 0..n-1")
-        self._check_labels(root)
-
-    def _collect(self, node):
-        if not node.children:
-            self._leaf_order.append(node.point)
-            return
-        for ch in node.children:
-            self._collect(ch)
-
-    def _check_labels(self, node):
-        for ch in node.children:
-            if ch.label > node.label:
-                raise ValueError("HST labels must be nonincreasing from the root")
-            self._check_labels(ch)
-        if not node.children and node.label != 0.0:
-            raise ValueError("HST leaf labels must be 0")
 
     def preorder_leaves(self):
         """Leaf point ids, children visited in ascending min-point-id."""
-        out = []
-
-        def rec(node):
-            if not node.children:
-                out.append(node.point)
-                return
-            for ch in sorted(node.children, key=_min_point):
-                rec(ch)
-
-        rec(self.root)
-        return out
+        return list(self._preorder)
 
     def distance_matrix(self):
-        """d_U for all pairs via post-order merge of leaf sets."""
-        mat = np.zeros((self.n, self.n))
-
-        def rec(node):
-            if not node.children:
-                return [node.point]
-            groups = [rec(ch) for ch in node.children]
-            for a in range(len(groups)):
-                for b in range(a + 1, len(groups)):
-                    ia = np.asarray(groups[a])
-                    ib = np.asarray(groups[b])
-                    mat[np.ix_(ia, ib)] = node.label
-                    mat[np.ix_(ib, ia)] = node.label
-            merged = []
-            for gr in groups:
-                merged.extend(gr)
-            return merged
-
-        rec(self.root)
-        return mat
+        """d_U for all pairs: window max over adjacent-leaf lca labels."""
+        n = self.n
+        adjacent = np.array([node.label for node in self._joins], dtype=np.float64)
+        win = np.zeros((n, n))
+        for i in range(n - 1):
+            win[i, i + 1 :] = np.maximum.accumulate(adjacent[i:])
+        win = np.maximum(win, win.T)
+        pos = np.empty(n, dtype=np.int64)
+        pos[self._preorder] = np.arange(n)
+        return win[np.ix_(pos, pos)]
 
     def metric(self):
         return MatrixMetric(self.distance_matrix())
 
 
-def _min_point(node):
-    while node.children:
-        node = min(node.children, key=_min_point)
-    return node.point
+def _walk(node):
+    """(min point, leaf preorder, lca node per adjacent leaf pair) of the
+    subtree at node; checks the label rules on the way."""
+    if not node.children:
+        if node.label != 0.0:
+            raise ValueError("HST leaf labels must be 0")
+        return node.point, [node.point], []
+    parts = []
+    for ch in node.children:
+        if ch.label > node.label:
+            raise ValueError("HST labels must be nonincreasing from the root")
+        parts.append(_walk(ch))
+    parts.sort(key=lambda part: part[0])
+    first, leaves, joins = parts[0]
+    for _, sub_leaves, sub_joins in parts[1:]:
+        joins.append(node)
+        joins.extend(sub_joins)
+        leaves.extend(sub_leaves)
+    return first, leaves, joins
 
 
 def hierarchy_to_hst(h):
@@ -265,17 +251,15 @@ def hierarchy_to_hst(h):
     nodes_prev = {(p,): HstNode(label=0.0, point=p) for (p,) in h.levels[0]}
     for li, level in enumerate(h.levels[1:]):
         label = (1 + h.eps) * h.deltas[li]
-        nodes_cur = {}
-        used = set()
-        for cluster in level:
-            node = HstNode(label=float(label))
-            for prev_cluster, prev_node in nodes_prev.items():
-                if prev_cluster not in used and set(prev_cluster) <= set(cluster):
-                    node.children.append(prev_node)
-                    used.add(prev_cluster)
-            nodes_cur[cluster] = node
-        if used != set(nodes_prev):
+        nodes_cur = {cluster: HstNode(label=float(label)) for cluster in level}
+        owner = {p: node for cluster, node in nodes_cur.items() for p in cluster}
+        if len(owner) != sum(map(len, nodes_cur)):
             raise ValueError("input hierarchy is not laminar")
+        for prev_cluster, prev_node in nodes_prev.items():
+            home = owner.get(prev_cluster[0])
+            if home is None or any(owner.get(p) is not home for p in prev_cluster):
+                raise ValueError("input hierarchy is not laminar")
+            home.children.append(prev_node)
         nodes_prev = nodes_cur
     root = next(iter(nodes_prev.values()))
     # collapse single-child chains so labels stay meaningful but structure is tight

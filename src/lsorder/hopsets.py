@@ -196,21 +196,25 @@ class FtTwoHopPathSpanner:
         # separating segment has size 2^(k+1); cliques answer below clique_size
         cbits = self.clique_size.bit_length() - 1
         clique = (k + 1) <= cbits
-        out = np.where(clique, x + 1, 0)
         seg = np.maximum(k + 1, 1)
         c = x >> seg
         mid = (c << seg) + (1 << k)  # 1-indexed block center
         half = self.f // 2
         lo_cand = np.maximum(np.maximum(mid - half, x + 1), (c << seg) + 1)
         hi_cand = np.minimum(np.minimum(mid + half, y + 1), (c + 1) << seg)
-        found = np.zeros(x.shape, dtype=bool)
-        for off in range(self.f + 1):
-            cand = lo_cand + off
-            safe = np.minimum(cand, hi_cand)  # out-of-block entries fail cand<=hi_cand
-            ok = (~clique) & (~found) & (cand <= hi_cand) & (~fault_mask[safe])
-            out[ok] = cand[ok]
-            found |= ok
-        if not np.all(found | clique):
+        out = np.where(clique, x + 1, lo_cand)
+        # out-of-block entries fail cand <= hi_cand; min() keeps the index valid
+        missed = (lo_cand > hi_cand) | fault_mask[np.minimum(lo_cand, hi_cand)]
+        todo = np.nonzero(~clique & missed)[0]  # rows whose lowest candidate fails
+        for off in range(1, self.f + 1):
+            if not todo.size:
+                break
+            cand = lo_cand[todo] + off
+            hi = hi_cand[todo]
+            ok = (cand <= hi) & ~fault_mask[np.minimum(cand, hi)]
+            out[todo[ok]] = cand[ok]
+            todo = todo[~ok]
+        if todo.size:
             raise AssertionError("no surviving midpoint; impossible for |F| <= f")
         return out
 

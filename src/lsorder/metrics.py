@@ -267,10 +267,13 @@ def build_epsilon_net(ps, metric, r):
     """Greedy net in ascending id order: packing >= r, covering <= r."""
     if r <= 0:
         raise ValueError("net radius must be positive")
+    mat = metric.matrix()
+    covered = np.zeros(metric.n, dtype=bool)
     net = []
     for i in range(metric.n):
-        if all(metric.dist(i, j) >= r for j in net):
+        if not covered[i]:
             net.append(i)
+            covered |= mat[:, i] < r  # column i: d(j, i) for every later j
     return EpsilonNet(base=ps, radius=float(r), net=net)
 
 

@@ -6,6 +6,7 @@ from lsorder.doubling import (
     HstNode,
     LaminarHierarchy,
     Partition,
+    _rescale_labels,
     build_padded_partition_cover,
     build_ultrametric_cover,
     carve_partition,
@@ -141,6 +142,126 @@ def test_hst_distance_matches_lca_oracle():
                     expected = (1 + eps) * deltas[li]
                     break
             assert d[x, y] == pytest.approx(expected)
+
+
+def brute_distances(hst):
+    """d_U by walking parent pointers from each leaf up to the lca."""
+    parent = {}
+    leaf = {}
+    stack = [hst.root]
+    while stack:
+        node = stack.pop()
+        if not node.children:
+            leaf[node.point] = node
+        for ch in node.children:
+            parent[id(ch)] = node
+            stack.append(ch)
+    out = np.zeros((hst.n, hst.n))
+    for a in range(hst.n):
+        ancestors = []
+        node = leaf[a]
+        while node is not None:
+            ancestors.append(id(node))
+            node = parent.get(id(node))
+        for b in range(hst.n):
+            if a == b:
+                continue
+            node = leaf[b]
+            while id(node) not in ancestors:
+                node = parent[id(node)]
+            out[a, b] = node.label
+    return out
+
+
+def reference_preorder(hst):
+    """Leaf ids with children visited in ascending min-point order, by a
+    recursive sort."""
+
+    def min_point(node):
+        return node.point if not node.children else min(map(min_point, node.children))
+
+    def rec(node):
+        if not node.children:
+            return [node.point]
+        return [p for ch in sorted(node.children, key=min_point) for p in rec(ch)]
+
+    return rec(hst.root)
+
+
+def random_tree_hst(n, seed, tie_share=0.3):
+    """Random HST with children in random order; about tie_share of the
+    internal children repeat their parent's label."""
+    rng = np.random.default_rng(seed)
+
+    def build(members, label):
+        if len(members) == 1:
+            return HstNode(label=0.0, point=int(members[0]))
+        parts = int(rng.integers(2, min(len(members), 5) + 1))
+        cuts = sorted(rng.choice(np.arange(1, len(members)), size=parts - 1, replace=False))
+        children = []
+        for g in np.split(members, cuts):
+            same = len(g) > 1 and rng.random() < tie_share
+            children.append(build(g, label if same else float(label * rng.uniform(0.2, 0.9))))
+        return HstNode(label=float(label), children=children)
+
+    return HST(build(rng.permutation(n), 10.0), n)
+
+
+def star_hst(n, label=3.0):
+    return HST(HstNode(label=label, children=[HstNode(0.0, point=p) for p in reversed(range(n))]), n)
+
+
+def chain_hst(n):
+    """Caterpillar: each internal node has one leaf and one deeper child."""
+    node = HstNode(label=0.0, point=0)
+    for depth in range(1, n):
+        node = HstNode(label=float(depth), children=[node, HstNode(0.0, point=depth)])
+    return HST(node, n)
+
+
+@pytest.mark.parametrize(
+    "hst",
+    [random_tree_hst(n, seed) for n, seed in [(2, 1), (7, 2), (40, 3), (120, 4)]]
+    + [random_tree_hst(60, 5, tie_share=1.0), star_hst(1), star_hst(2), star_hst(50), chain_hst(80)],
+    ids=["rand2", "rand7", "rand40", "rand120", "all-ties", "n1", "n2", "star50", "chain80"],
+)
+def test_hst_distance_matrix_matches_brute_force(hst):
+    assert np.array_equal(hst.distance_matrix(), brute_distances(hst))
+    assert hst.preorder_leaves() == reference_preorder(hst)
+
+
+def test_hst_distance_matrix_reads_rescaled_labels():
+    hst = random_tree_hst(50, 6)
+    before = hst.distance_matrix()
+    _rescale_labels(hst.root, 0.37)
+    after = hst.distance_matrix()
+    assert np.array_equal(after, brute_distances(hst))
+    assert not np.array_equal(after, before)
+
+
+def test_cover_hsts_match_brute_force():
+    cover = build_ultrametric_cover(uniform_points(50, 2, 22), t=4, seed=23)
+    for hst in cover.hsts:
+        assert np.array_equal(hst.distance_matrix(), brute_distances(hst))
+        assert hst.preorder_leaves() == reference_preorder(hst)
+
+
+@pytest.mark.parametrize(
+    "level",
+    [
+        [(0, 1, 2), (3,)],  # (2, 3) straddles two clusters
+        [(0, 1), (3,)],  # point 2 has no owner
+        [(0, 1, 2), (2, 3)],  # point 2 has two owners
+    ],
+)
+def test_hierarchy_to_hst_rejects_non_laminar(level):
+    h = LaminarHierarchy(
+        levels=[[(0,), (1,), (2,), (3,)], [(0, 1), (2, 3)], level, [(0, 1, 2, 3)]],
+        deltas=[1.0, 2.0, 4.0],
+        eps=0.25,
+    )
+    with pytest.raises(ValueError, match="not laminar"):
+        hierarchy_to_hst(h)
 
 
 def test_ultrametric_cover_two_points():

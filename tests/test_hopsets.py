@@ -217,6 +217,41 @@ def test_ft_batch_matches_scalar():
             assert int(l) == ft.query(i, j, faults)
 
 
+def block_center_fault_sets(ft, rng, count):
+    """Fault sets at the budget: the f lowest positions of the middle block
+    of a random segment above clique size, so pairs split by that segment
+    need offset f in the batch answer."""
+    half = ft.f // 2
+    sets = []
+    for _ in range(count):
+        size = 1 << int(rng.integers(ft.clique_size.bit_length(), ft.delta + 1))
+        starts = [lo for lo in range(1, ft.n_padded + 1, size) if lo - 1 + size // 2 + half <= ft.n]
+        mid = int(rng.choice(starts)) - 1 + size // 2
+        sets.append(set(range(mid - half, mid + half)))
+    return sets
+
+
+@pytest.mark.parametrize("n,f,count", [(64, 1, 8), (64, 2, 8), (100, 2, 6), (100, 4, 6), (512, 2, 2), (512, 4, 2)])
+def test_ft_batch_matches_scalar_all_pairs_at_budget(n, f, count):
+    ft = FtTwoHopPathSpanner(n, f)
+    rng = np.random.default_rng(n + f)
+    centered = block_center_fault_sets(ft, rng, count)
+    drawn = [set(rng.choice(np.arange(1, n + 1), size=ft.f, replace=False).tolist()) for _ in range(count)]
+    for faults in centered + drawn:
+        assert len(faults) == ft.f
+        mask = np.zeros(n + 2, dtype=bool)
+        mask[list(faults)] = True
+        alive = np.nonzero(~mask[1 : n + 1])[0] + 1
+        iu, iv = np.triu_indices(alive.size, k=1)
+        ii, jj = alive[iu], alive[iv]
+        batch = ft.query_batch(ii, jj, mask)
+        scalar = [ft.query(int(i), int(j), faults) for i, j in zip(ii, jj)]
+        assert batch.tolist() == scalar
+        if faults in centered:
+            unfaulted = ft.query_batch(ii, jj, np.zeros(n + 2, dtype=bool))
+            assert np.any((batch != ii) & (batch != unfaulted))
+
+
 def test_ft_rejects_oversized_fault_set():
     ft = FtTwoHopPathSpanner(16, 2)
     with pytest.raises(ValueError):

@@ -166,6 +166,17 @@ def test_epsilon_net_invariants_full_scan():
         assert min(mat[x, j] for j in members) <= r
 
 
+@pytest.mark.parametrize("r", [0.02, 0.1, 0.3, 1.0, 5.0])
+def test_epsilon_net_equals_greedy_scan(r):
+    rng = np.random.default_rng(18)
+    metric = MatrixMetric(LpMetric(PointSet(rng.uniform(size=(120, 3)))).matrix())
+    greedy = []
+    for i in range(metric.n):
+        if all(metric.dist(i, j) >= r for j in greedy):
+            greedy.append(i)
+    assert build_epsilon_net(None, metric, r).net == greedy
+
+
 def test_aspect_ratio_basic():
     ps = PointSet([[0.0], [1.0]])
     assert aspect_ratio(LpMetric(ps)) == 1.0

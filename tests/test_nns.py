@@ -198,6 +198,28 @@ def test_lca_labels_random_hst(n, seed):
         assert lab == o.label
 
 
+@pytest.mark.parametrize("n,seed", [(2, 11), (40, 12), (200, 13)])
+def test_lca_labels_agree_with_distance_matrix(n, seed):
+    hst = random_hst(n, seed)
+    labels = build_lca_labels(hst)
+    du = hst.distance_matrix()
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                assert lca_from_labels(labels[a], labels[b])[1] == du[a, b]
+
+
+def test_lca_labels_agree_with_distance_matrix_on_cover():
+    rng = np.random.default_rng(14)
+    cover = build_ultrametric_cover(LpMetric(PointSet(rng.uniform(size=(40, 2)))), t=4, seed=15)
+    for hst in cover.hsts[:8]:
+        labels = build_lca_labels(hst)
+        du = hst.distance_matrix()
+        for a in range(hst.n):
+            for b in range(a + 1, hst.n):
+                assert lca_from_labels(labels[a], labels[b])[1] == du[a, b]
+
+
 def test_ultrametric_nns_self():
     hst = random_hst(16, 4)
     nns = UltrametricNns(hst)
