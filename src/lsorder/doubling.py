@@ -13,6 +13,7 @@ the lca labels of adjacent leaves x_k, x_k+1 for i <= k < j.
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -197,7 +198,7 @@ class HST:
     def __init__(self, root, n):
         self.root = root
         self.n = n
-        _, self._preorder, self._joins = _walk(root)
+        self._preorder, self._joins = _walk(root)
         if sorted(self._preorder) != list(range(n)):
             raise ValueError("HST leaves must biject to point ids 0..n-1")
 
@@ -221,25 +222,43 @@ class HST:
         return MatrixMetric(self.distance_matrix())
 
 
-def _walk(node):
-    """(min point, leaf preorder, lca node per adjacent leaf pair) of the
-    subtree at node; checks the label rules on the way."""
-    if not node.children:
-        if node.label != 0.0:
+def _walk(root):
+    """(leaf preorder, lca node per adjacent leaf pair) of the tree at root,
+    children in ascending min-point order; checks the label rules on the way.
+
+    Iterative (bottom-up over a breadth-first list of the internal nodes), so
+    the depth is not bounded by the recursion limit.
+    """
+    if not root.children:
+        if root.label != 0.0:
             raise ValueError("HST leaf labels must be 0")
-        return node.point, [node.point], []
-    parts = []
-    for ch in node.children:
-        if ch.label > node.label:
-            raise ValueError("HST labels must be nonincreasing from the root")
-        parts.append(_walk(ch))
-    parts.sort(key=lambda part: part[0])
-    first, leaves, joins = parts[0]
-    for _, sub_leaves, sub_joins in parts[1:]:
-        joins.append(node)
-        joins.extend(sub_joins)
-        leaves.extend(sub_leaves)
-    return first, leaves, joins
+        return [root.point], []
+    top_down = [root]
+    for node in top_down:  # grows while it is read: every node after its parent
+        for ch in node.children:
+            if ch.children:
+                top_down.append(ch)
+    done = {}  # id(node) -> (min point, leaf preorder, joins) of its subtree
+    for node in reversed(top_down):
+        parts = []
+        for ch in node.children:
+            if ch.label > node.label:
+                raise ValueError("HST labels must be nonincreasing from the root")
+            if ch.children:
+                parts.append(done.pop(id(ch)))
+            elif ch.label != 0.0:
+                raise ValueError("HST leaf labels must be 0")
+            else:
+                parts.append((ch.point, [ch.point], []))
+        parts.sort(key=itemgetter(0))
+        first, leaves, joins = parts[0]
+        for _, sub_leaves, sub_joins in parts[1:]:
+            joins.append(node)
+            joins.extend(sub_joins)
+            leaves.extend(sub_leaves)
+        done[id(node)] = (first, leaves, joins)
+    _, leaves, joins = done[id(root)]
+    return leaves, joins
 
 
 def hierarchy_to_hst(h):
@@ -266,11 +285,21 @@ def hierarchy_to_hst(h):
     return HST(_collapse(root), n)
 
 
-def _collapse(node):
-    while len(node.children) == 1:
-        node = node.children[0]
-    node.children = [_collapse(ch) for ch in node.children]
-    return node
+def _collapse(root):
+    """Skip every single-child chain; returns the new root."""
+
+    def skip(node):
+        while len(node.children) == 1:
+            node = node.children[0]
+        return node
+
+    root = skip(root)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.children = [skip(ch) for ch in node.children]
+        stack.extend(node.children)
+    return root
 
 
 @dataclass
@@ -352,10 +381,12 @@ def build_ultrametric_cover(metric, t, eps=0.25, seed=0, max_rounds=6):
     )
 
 
-def _rescale_labels(node, factor):
-    node.label *= factor
-    for ch in node.children:
-        _rescale_labels(ch, factor)
+def _rescale_labels(root, factor):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.label *= factor
+        stack.extend(node.children)
 
 
 def cover_preorder_to_triangle_lso(cover):

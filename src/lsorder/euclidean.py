@@ -9,10 +9,23 @@ sampled center whose lattice-translated ball covers it, and cluster keys
 sampled once per base scale j in [0, gamma) and reused at scales j + k*gamma
 scaled by xi^(k*gamma).
 
-Center sampling draws the i.i.d. uniform sequence restricted to the arrivals
-that first-cover some input point (exact thinning: everything else can never
-win a point, so the assignment and cluster order are unchanged), which keeps
-the stored center lists short even in high dimension.
+Center sampling draws the i.i.d. uniform sequence on the torus [0, 4w)^d
+restricted to the arrivals that first-cover some input point (exact
+thinning: everything else can never win a point, so the assignment and
+cluster order are unchanged), which keeps the stored center lists short even
+in high dimension.  Given the uncovered set U, the next kept arrival is
+uniform over the union of the balls around U; each batch draws it from one
+of two proposals, whichever accepts more often:
+
+- ball proposals: a uniform point of a ball around a uniform member of U,
+  accepted with probability 1/(number of U-balls covering it);
+- torus proposals: a uniform point of the torus, accepted iff it covers a
+  member of U.  They win once |U| * Vol(ball) exceeds the torus volume, as
+  at coarse scales where every effective point falls into one ball.
+
+After an accept the batch goes on (in-batch thinning): a later proposal that
+passed its test against the batch's U is kept iff it still covers an
+uncovered point, which is rejection from the old union down to the new one.
 """
 
 import math
@@ -69,6 +82,10 @@ class BallCarvingScheme:
     base_widths: list = field(default_factory=list)
     centers: dict = field(default_factory=dict)  # base scale j -> (l_j, d) array
     assignments: dict = field(default_factory=dict)  # (j, k) -> (ordinals, lattice)
+    # sampler counters, summed over base scales
+    proposals: int = 0
+    ball_batches: int = 0
+    torus_batches: int = 0
 
     def width(self, i):
         return self.xi**i * (1.0 + self.delta / 3.0) ** self.shift
@@ -90,11 +107,17 @@ class ScaleClustering:
         return (ordinal, u)
 
 
-def ordering_scale_range(metric_or_ps, scheme):
+def ordering_scale_range(metric_or_ps, scheme, extent=None):
     """(i_min, i_max): below i_min all pairs are separated (2*w_i < min
-    distance), at i_max one width covers the diameter (w_i >= max distance)."""
-    metric = metric_or_ps if hasattr(metric_or_ps, "matrix") else LpMetric(metric_or_ps, scheme.p)
-    dmin, dmax = min_max_pairwise(metric)
+    distance), at i_max one width covers the diameter (w_i >= max distance).
+
+    `extent` is (min positive distance, max distance) when the caller has it;
+    otherwise it is read from the metric.
+    """
+    if extent is None:
+        metric = metric_or_ps if hasattr(metric_or_ps, "matrix") else LpMetric(metric_or_ps, scheme.p)
+        extent = min_max_pairwise(metric)
+    dmin, dmax = extent
     shift_factor = (1.0 + scheme.delta / 3.0) ** scheme.shift
     i_min = math.floor(math.log(dmin / (2.0 * shift_factor)) / math.log(scheme.xi))
     while 2.0 * scheme.xi**i_min * shift_factor >= dmin:
@@ -120,8 +143,12 @@ def _effective_points(points, scheme, j):
     return ks, blocks
 
 
-def sample_scheme(ps, p, t_internal, delta, shift, shift_count, seed, max_batches=None):
-    """Sample the assignment-relevant center sequence for one ordering."""
+def sample_scheme(ps, p, t_internal, delta, shift, shift_count, seed, extent=None):
+    """Sample the assignment-relevant center sequence for one ordering.
+
+    `extent` is the input's (min positive, max) pairwise distance; builders
+    that sample many schemes of one input pass it to skip the n x n scan.
+    """
     points = ps.points
     n, d = points.shape
     xi = 12.0 * math.sqrt(d) / t_internal if p == 2 else 36.0 * d / t_internal
@@ -140,9 +167,8 @@ def sample_scheme(ps, p, t_internal, delta, shift, shift_count, seed, max_batche
         i_max=0,
     )
     if n >= 2:
-        metric = LpMetric(ps, p)
         try:
-            scheme.i_min, scheme.i_max = ordering_scale_range(metric, scheme)
+            scheme.i_min, scheme.i_max = ordering_scale_range(ps, scheme, extent)
         except ValueError:  # all points identical
             scheme.i_min = scheme.i_max = 0
     scheme.base_widths = [scheme.width(j) for j in range(gamma)]
@@ -154,59 +180,85 @@ def sample_scheme(ps, p, t_internal, delta, shift, shift_count, seed, max_batche
         eff = np.concatenate(blocks, axis=0)
         w = scheme.base_widths[j]
         rng = seeds.rng_for(seed, "centers", j)
-        centers, ordinals, lattice = _sample_covering_centers(
-            eff, w, p, rng, max_batches=max_batches
-        )
+        centers, ordinals, lattice, counts = _sample_covering_centers(eff, w, p, rng)
         scheme.centers[j] = centers
+        scheme.proposals += counts["proposals"]
+        scheme.ball_batches += counts["ball_batches"]
+        scheme.torus_batches += counts["torus_batches"]
         for bi, k in enumerate(ks):
             lo, hi = bi * n, (bi + 1) * n
             scheme.assignments[(j, k)] = (ordinals[lo:hi].copy(), lattice[lo:hi].copy())
     return scheme
 
 
-def _sample_covering_centers(eff, w, p, rng, batch=64, max_batches=None):
+# Proposals drawn per sampler batch.  One batch costs batch x |U| x d
+# distance terms; most centers are kept from the first few proposals.
+CENTER_BATCH = 16
+
+
+def _ball_torus_share(d, p):
+    """Vol(radius-w lp ball) / Vol(torus [0, 4w)^d) = (2G(1+1/p)/4)^d / G(1+d/p)."""
+    return math.exp(d * math.log(2.0 * math.gamma(1.0 + 1.0 / p) / 4.0) - math.lgamma(1.0 + d / p))
+
+
+def _sample_covering_centers(eff, w, p, rng):
     """Thinned uniform center process: each accepted center is the next
-    arrival that covers a still-uncovered effective point."""
+    arrival that covers a still-uncovered effective point.
+
+    Returns (centers, ordinals, lattice, counts); counts holds the number of
+    proposals and of ball and torus batches.
+    """
     m, d = eff.shape
+    batch = CENTER_BATCH
     period = 4.0 * w
-    if max_batches is None:
-        max_batches = 256 * m + 4096
+    share = _ball_torus_share(d, p)
+    max_batches = 256 * m + 4096
     uncovered = np.arange(m)
     ordinals = np.full(m, -1, dtype=np.int64)
     lattice = np.zeros((m, d), dtype=np.int64)
     centers = []
-    batches = 0
+    counts = {"proposals": 0, "ball_batches": 0, "torus_batches": 0}
     while uncovered.size:
-        batches += 1
-        if batches > max_batches:
+        if counts["ball_batches"] + counts["torus_batches"] == max_batches:
             raise CoverageError(
                 f"center sampling exhausted after {max_batches} batches "
                 f"({uncovered.size} points uncovered)"
             )
         sub = eff[uncovered]
-        pick = rng.integers(0, uncovered.size, size=batch)
-        offs = sample_lp_ball(rng, batch, d, p) * w
-        cand = sub[pick] - offs
-        cand -= period * np.floor(cand / period)
+        torus = uncovered.size * share > 1.0
+        if torus:
+            counts["torus_batches"] += 1
+            cand = rng.uniform(0.0, period, size=(batch, d))
+        else:
+            counts["ball_batches"] += 1
+            pick = rng.integers(0, uncovered.size, size=batch)
+            cand = sub[pick] - sample_lp_ball(rng, batch, d, p) * w
+            cand -= period * np.floor(cand / period)
+        counts["proposals"] += batch
         diff = sub[None, :, :] - cand[:, None, :]
         u = np.rint(diff / period)
-        dist = _lp_norms(diff - period * u, p)
-        covered_mask = dist <= w
-        counts = covered_mask.sum(axis=1)
-        accept = rng.random(size=batch)
-        for c in range(batch):
-            if counts[c] == 0:
-                continue
-            if accept[c] < 1.0 / counts[c]:
-                row = covered_mask[c]
-                ordinal = len(centers)
-                centers.append(cand[c])
-                hit = uncovered[row]
-                ordinals[hit] = ordinal
-                lattice[hit] = u[c][row].astype(np.int64)
-                uncovered = uncovered[~row]
-                break  # batch proposals were drawn against the old uncovered set
-    return np.asarray(centers), ordinals, lattice
+        covered_mask = _lp_norms(diff - period * u, p) <= w
+        if torus:
+            passed = covered_mask.any(axis=1)
+        else:
+            hits = covered_mask.sum(axis=1)
+            passed = (hits > 0) & (rng.random(size=batch) < 1.0 / np.maximum(hits, 1))
+        # In arrival order, a passed proposal is kept iff it still covers a
+        # live point.  So a point goes to the first passed proposal covering
+        # it, and the kept proposals are exactly those firsts.
+        rows = np.flatnonzero(passed)
+        if not rows.size:
+            continue
+        cover = covered_mask[rows]
+        hit = cover.any(axis=0)
+        first = cover.argmax(axis=0)[hit]
+        kept = np.unique(first)
+        cols = np.flatnonzero(hit)
+        ordinals[uncovered[cols]] = len(centers) + np.searchsorted(kept, first)
+        lattice[uncovered[cols]] = u[rows[first], cols]
+        centers.extend(cand[rows[kept]])
+        uncovered = uncovered[~hit]
+    return np.asarray(centers), ordinals, lattice, counts
 
 
 def carve_scale(ps, scheme, i):
@@ -241,18 +293,18 @@ def carve_scale(ps, scheme, i):
 
 
 def _ordering_from_scheme(ps, scheme):
-    """Top-down sort: cluster keys from i_max down to i_min, ties by id."""
-    n = len(ps.points)
-    keys = []
-    for pid in range(n):
-        keys.append([])
+    """Top-down sort: cluster keys from i_max down to i_min, ties by id.
+
+    One lexsort over the (ordinal, lattice...) columns of every scale, scale
+    i_max first and the point id last.
+    """
+    columns = []
     for i in range(scheme.i_max, scheme.i_min - 1, -1):
-        j, k = scheme.base_of(i)
-        ordinals, lattice = scheme.assignments[(j, k)]
-        for pid in range(n):
-            keys[pid].append((int(ordinals[pid]), tuple(int(x) for x in lattice[pid])))
-    order = sorted(range(n), key=lambda pid: (keys[pid], pid))
-    return Ordering(order)
+        ordinals, lattice = scheme.assignments[scheme.base_of(i)]
+        columns.append(ordinals)
+        columns.extend(lattice.T)
+    columns.append(np.arange(len(ps.points)))
+    return Ordering(np.lexsort(columns[::-1]))
 
 
 def internal_stretch(p, t, d):
@@ -288,16 +340,23 @@ def build_triangle_lso(ps, p, t, delta, m=None, seed=0):
         fam = OrderingFamily(TRIANGLE, [Ordering(range(n))], rho=(1 + delta) * t)
         fam.meta["construction"] = "ball-carving-degenerate"
         return fam
+    extent = min_max_pairwise(LpMetric(ps, p))
     for s in range(shift_count):
         for q in range(m):
             scheme = sample_scheme(
-                ps, p, t_int, delta, s, shift_count, seeds.derive(seed, "ordering", s, q)
+                ps, p, t_int, delta, s, shift_count, seeds.derive(seed, "ordering", s, q), extent
             )
             schemes.append(scheme)
             orderings.append(_ordering_from_scheme(ps, scheme))
     fam = OrderingFamily(TRIANGLE, orderings, rho=(1 + delta) * t)
     fam.meta["construction"] = "ball-carving"
     fam.meta["schemes"] = schemes
+    fam.meta["sampler"] = {
+        "proposals": sum(sc.proposals for sc in schemes),
+        "centers": sum(len(c) for sc in schemes for c in sc.centers.values()),
+        "ball_batches": sum(sc.ball_batches for sc in schemes),
+        "torus_batches": sum(sc.torus_batches for sc in schemes),
+    }
     fam.meta["m"] = m
     fam.meta["shift_count"] = shift_count
     return fam
@@ -558,8 +617,9 @@ def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
         pair_lookup = {}
         for (sh, phase), pairs in sorted(needed.items()):
             patterns = _greedy_path_patterns(sorted(pairs))
+            chunks, full = _grid_chunks(points_int[sh], phase, b)
             for pattern in patterns:
-                perm = _materialize_grid_ordering(points_int[sh], phase, b, pattern)
+                perm = _materialize_grid_ordering(chunks, full, b * d, pattern)
                 tkey = tuple(perm)
                 if tkey not in perm_index:
                     perm_index[tkey] = len(orderings)
@@ -585,34 +645,47 @@ def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
     raise RuntimeError(f"grid LSO failed verification after {max_rounds} rounds")
 
 
-def _materialize_grid_ordering(pi, phase, b, pattern):
+def _chunk_column(pi, shift_amt, width):
+    """Per-point symbol of the width-bit chunk starting shift_amt bits up."""
+    mask = (1 << width) - 1
+    sym = np.zeros(pi.shape[0], dtype=np.int64)
+    for axis in range(pi.shape[1]):
+        sym |= ((pi[:, axis] >> shift_amt) & mask) << (width * axis)
+    return sym
+
+
+def _grid_chunks(pi, phase, b):
+    """Chunk symbols of every point, one row per chunk from the top: the
+    phase chunk (if phase > 0), then b-bit chunks, the last one possibly
+    narrower; plus a mask of the full b-bit rows."""
+    rows = []
+    full = []
+    if phase > 0:
+        rows.append(_chunk_column(pi, GRID_BITS - phase, phase))
+        full.append(False)
+    level = phase
+    while level < GRID_BITS:
+        width = min(b, GRID_BITS - level)
+        rows.append(_chunk_column(pi, GRID_BITS - level - width, width))
+        full.append(width == b)
+        level += width
+    return np.array(rows), np.array(full)
+
+
+def _materialize_grid_ordering(chunks, full, sym_bits, pattern):
     """Sort points by chunked cell symbols, full chunks mapped through the
-    pattern rank (unranked symbols order after ranked ones, by raw value)."""
-    n = pi.shape[0]
-    d = pi.shape[1]
-    keys = []
-    for pid in range(n):
-        coords = pi[pid]
-        key = []
-        level = 0
-        if phase > 0:
-            sym = 0
-            mask = (1 << phase) - 1
-            for axis in range(d):
-                sym |= (int(coords[axis]) >> (GRID_BITS - phase) & mask) << (phase * axis)
-            key.append((0, sym))
-            level = phase
-        while level < GRID_BITS:
-            width = min(b, GRID_BITS - level)
-            sym = 0
-            mask = (1 << width) - 1
-            for axis in range(d):
-                sym |= (int(coords[axis]) >> (GRID_BITS - level - width) & mask) << (width * axis)
-            if width == b and sym in pattern:
-                key.append((0, pattern[sym]))
-            else:
-                key.append((1, sym))
-            level += width
-        keys.append((key, pid))
-    keys.sort()
-    return [pid for _, pid in keys]
+    pattern rank (unranked symbols order after ranked ones, by raw value).
+
+    One lexsort over an int64 key row per chunk, top chunk first and the
+    point id last.  A full chunk's key is the rank of a ranked symbol, else
+    2^sym_bits + symbol (ranks stay below 2^sym_bits = 2^(b*d), and
+    b*d <= 58); the other rows are compared by raw symbol.
+    """
+    keys = chunks.copy()
+    if pattern:
+        ranked = np.array(sorted(pattern), dtype=np.int64)
+        ranks = np.array([pattern[s] for s in ranked.tolist()], dtype=np.int64)
+        sym = chunks[full]
+        idx = np.minimum(np.searchsorted(ranked, sym), ranked.size - 1)
+        keys[full] = np.where(ranked[idx] == sym, ranks[idx], (1 << sym_bits) + sym)
+    return np.lexsort(np.vstack([np.arange(chunks.shape[1]), keys[::-1]])).tolist()

@@ -116,21 +116,20 @@ def read_family(path):
 
 
 def hst_to_json(hst):
+    """Nodes numbered in preorder: labels, child ids and leaf points."""
     gamma = []
     children = []
     leaf_of = []
-
-    def rec(node):
+    stack = [(hst.root, None)]
+    while stack:
+        node, parent = stack.pop()
         my_id = len(gamma)
         gamma.append(node.label)
         children.append([])
         leaf_of.append(node.point if not node.children else -1)
-        for ch in node.children:
-            cid = rec(ch)
-            children[my_id].append(cid)
-        return my_id
-
-    rec(hst.root)
+        if parent is not None:
+            children[parent].append(my_id)
+        stack.extend((ch, my_id) for ch in reversed(node.children))
     return {"gamma": gamma, "children": children, "leaf_of": leaf_of}
 
 

@@ -81,18 +81,34 @@ class LpMetric(Metric):
         return lp_distance(self.ps.points[i], self.ps.points[j], self.p)
 
     def matrix(self):
+        """Built in row blocks: each block's rows x n x d intermediate holds
+        about MATRIX_BLOCK_FLOATS floats, whatever n is."""
         if self._mat is None:
             pts = self.ps.points
-            diff = np.abs(pts[:, None, :] - pts[None, :, :])
-            if self.p == math.inf:
-                self._mat = diff.max(axis=2)
-            elif self.p == 2:
-                self._mat = np.sqrt((diff * diff).sum(axis=2))
-            elif self.p == 1:
-                self._mat = diff.sum(axis=2)
-            else:
-                self._mat = (diff**self.p).sum(axis=2) ** (1.0 / self.p)
+            n, d = pts.shape
+            rows = max(1, MATRIX_BLOCK_FLOATS // max(1, n * d))
+            mat = np.empty((n, n))
+            for lo in range(0, n, rows):
+                mat[lo : lo + rows] = _lp_rows(pts[lo : lo + rows], pts, self.p)
+            self._mat = mat
         return self._mat
+
+
+# Row blocks of LpMetric.matrix hold about this many float64 differences
+# (16 MB); the rows of one block do not depend on the others.
+MATRIX_BLOCK_FLOATS = 1 << 21
+
+
+def _lp_rows(rows, pts, p):
+    """lp distances from each of `rows` to every point of `pts`."""
+    diff = np.abs(rows[:, None, :] - pts[None, :, :])
+    if p == math.inf:
+        return diff.max(axis=2)
+    if p == 2:
+        return np.sqrt((diff * diff).sum(axis=2))
+    if p == 1:
+        return diff.sum(axis=2)
+    return (diff**p).sum(axis=2) ** (1.0 / p)
 
 
 class MatrixMetric(Metric):

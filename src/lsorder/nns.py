@@ -133,37 +133,31 @@ class LcaLabel:
 def build_lca_labels(hst):
     """Heavy-path spine labels: O(log n) entries per leaf; two labels
     alone identify the lca node and its label."""
-    ids = {}
-    sizes = {}
-
-    def measure(node):
+    ids = {}  # preorder number of each node
+    top_down = []
+    stack = [hst.root]
+    while stack:
+        node = stack.pop()
         ids[id(node)] = len(ids)
-        if not node.children:
-            sizes[id(node)] = 1
-            return 1
-        total = 0
-        for ch in node.children:
-            total += measure(ch)
-        sizes[id(node)] = total
-        return total
-
-    measure(hst.root)
+        top_down.append(node)
+        stack.extend(reversed(node.children))
+    sizes = {}  # leaves under each node
+    for node in reversed(top_down):
+        sizes[id(node)] = sum(sizes[id(ch)] for ch in node.children) if node.children else 1
     labels = {}
-
-    def walk(node, spine, apex, depth_in_path):
+    stack = [(hst.root, [], ids[id(hst.root)], 0)]  # (node, spine, apex, depth in path)
+    while stack:
+        node, spine, apex, depth_in_path = stack.pop()
+        entry = (apex, depth_in_path, ids[id(node)], node.label)
         if not node.children:
-            entry = (apex, depth_in_path, ids[id(node)], node.label)
             labels[node.point] = LcaLabel(point=node.point, spine=spine + [entry])
-            return
+            continue
         heavy = max(node.children, key=lambda ch: (sizes[id(ch)], -ids[id(ch)]))
-        for ch in node.children:
+        for ch in reversed(node.children):
             if ch is heavy:
-                walk(ch, spine, apex, depth_in_path + 1)
+                stack.append((ch, spine, apex, depth_in_path + 1))
             else:
-                entry = (apex, depth_in_path, ids[id(node)], node.label)
-                walk(ch, spine + [entry], ids[id(ch)], 0)
-
-    walk(hst.root, [], ids[id(hst.root)], 0)
+                stack.append((ch, spine + [entry], ids[id(ch)], 0))
     return labels
 
 
@@ -339,17 +333,22 @@ def assign_triangle_labels(fam, metric):
         raise ValueError("triangle labels need a triangle family")
     n_host = len(fam.orderings[0].perm) if fam.orderings else 0
     hop = TwoHopPathSpanner(n_host)
+    mat = metric.matrix()
+    # the midpoint lists depend on positions only: flatten them once
+    mids_of = [hop.edges_of(pos) for pos in range(1, n_host + 1)]
+    ends = np.cumsum([len(mids) for mids in mids_of]).tolist()
+    owner = np.repeat(np.arange(n_host), [len(mids) for mids in mids_of])
+    mid0 = np.asarray([l - 1 for mids in mids_of for l in mids], dtype=np.int64)
     labels = {}
     for oid, o in enumerate(fam.orderings):
+        perm = np.asarray(o.perm, dtype=np.int64)
+        weights = mat[perm[owner], perm[mid0]].tolist()
+        start = 0
         for pos0, pid in enumerate(o.perm):
-            pos = pos0 + 1
             label = labels.setdefault(pid, TriangleNnsLabel(pid, {}, {}))
-            label.positions[oid] = pos
-            mids = []
-            for l in hop.edges_of(pos):
-                other = o.perm[l - 1]
-                mids.append((l, metric.dist(pid, other)))
-            label.midpoints[oid] = mids
+            label.positions[oid] = pos0 + 1
+            label.midpoints[oid] = list(zip(mids_of[pos0], weights[start : ends[pos0]]))
+            start = ends[pos0]
     return labels, hop
 
 

@@ -48,6 +48,23 @@ class PathReportingSpanner:
         if key not in self.edges:
             self.edges[key] = float(w)
 
+    def add_ordering_edges(self, perms, a, b, mat):
+        """add_edge(perm[a_k], perm[b_k], mat[perm[a_k], perm[b_k]]) for each
+        ordering in turn and each k in order (0-indexed positions a, b), one
+        ordering's arrays at a time; the first weight seen for an edge wins."""
+        seen = np.zeros((self.n, self.n), dtype=bool)
+        for key in self.edges:
+            seen[key] = True
+        for perm in perms:
+            u, v = perm[a], perm[b]
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            _, first = np.unique(lo * self.n + hi, return_index=True)
+            first.sort()
+            first = first[(lo[first] != hi[first]) & ~seen[lo[first], hi[first]]]
+            seen[lo[first], hi[first]] = True
+            keys = zip(lo[first].tolist(), hi[first].tolist())
+            self.edges.update(zip(keys, mat[u[first], v[first]].tolist()))
+
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
 
@@ -75,11 +92,10 @@ class OrderingHopSpanner(PathReportingSpanner):
         self.hop = TwoHopPathSpanner(metric.n)
         self.perms = [np.asarray(o.perm, dtype=np.int64) for o in fam.orderings]
         self.poss = [o.pos for o in fam.orderings]
-        for perm in self.perms:
-            for pos in range(1, self.n + 1):
-                pid = perm[pos - 1]
-                for l in self.hop.edges_of(pos):
-                    self.add_edge(int(pid), int(perm[l - 1]), self.mat[pid, perm[l - 1]])
+        mids_of = [self.hop.edges_of(pos) for pos in range(1, self.n + 1)]
+        pos0 = np.asarray([i for i, mids in enumerate(mids_of) for _ in mids], dtype=np.int64)
+        mid0 = np.asarray([l - 1 for mids in mids_of for l in mids], dtype=np.int64)
+        self.add_ordering_edges(self.perms, pos0, mid0, self.mat)
 
     def query(self, u, v):
         if u == v:
@@ -689,9 +705,8 @@ class FtOrderingSpanner(PathReportingSpanner):
             self.f = self.ft.f
             self.perms = [np.asarray(o.perm, dtype=np.int64) for o in fam.orderings]
             self.poss = [o.pos for o in fam.orderings]
-            for perm in self.perms:
-                for a, b in self.ft.edges:
-                    self.add_edge(int(perm[a - 1]), int(perm[b - 1]), self.mat[perm[a - 1], perm[b - 1]])
+            ends = np.asarray(list(self.ft.edges), dtype=np.int64).reshape(-1, 2) - 1
+            self.add_ordering_edges(self.perms, ends[:, 0], ends[:, 1], self.mat)
 
     def query(self, u, v, faults=()):
         F = set(faults)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from lsorder.doubling import (
     HstNode,
     LaminarHierarchy,
     Partition,
+    _collapse,
     _rescale_labels,
     build_padded_partition_cover,
     build_ultrametric_cover,
@@ -14,7 +17,9 @@ from lsorder.doubling import (
     hierarchy_to_hst,
     laminarize,
 )
+from lsorder.fileio import hst_from_json, hst_to_json
 from lsorder.metrics import LpMetric, MatrixMetric, PointSet
+from lsorder.nns import build_lca_labels, lca_from_labels
 from lsorder.orderings import verify_triangle
 
 
@@ -144,8 +149,9 @@ def test_hst_distance_matches_lca_oracle():
             assert d[x, y] == pytest.approx(expected)
 
 
-def brute_distances(hst):
-    """d_U by walking parent pointers from each leaf up to the lca."""
+def brute_distances(hst, pairs=None):
+    """d_U by walking parent pointers from each leaf up to the lca, on every
+    pair or on the given (a, b) pairs."""
     parent = {}
     leaf = {}
     stack = [hst.root]
@@ -156,20 +162,23 @@ def brute_distances(hst):
         for ch in node.children:
             parent[id(ch)] = node
             stack.append(ch)
+    if pairs is None:
+        pairs = [(a, b) for a in range(hst.n) for b in range(hst.n)]
     out = np.zeros((hst.n, hst.n))
-    for a in range(hst.n):
-        ancestors = []
-        node = leaf[a]
-        while node is not None:
-            ancestors.append(id(node))
-            node = parent.get(id(node))
-        for b in range(hst.n):
-            if a == b:
-                continue
-            node = leaf[b]
-            while id(node) not in ancestors:
-                node = parent[id(node)]
-            out[a, b] = node.label
+    ancestors = {}
+    for a, b in pairs:
+        if a == b:
+            continue
+        if a not in ancestors:
+            ancestors[a] = set()
+            node = leaf[a]
+            while node is not None:
+                ancestors[a].add(id(node))
+                node = parent.get(id(node))
+        node = leaf[b]
+        while id(node) not in ancestors[a]:
+            node = parent[id(node)]
+        out[a, b] = node.label
     return out
 
 
@@ -237,6 +246,45 @@ def test_hst_distance_matrix_reads_rescaled_labels():
     after = hst.distance_matrix()
     assert np.array_equal(after, brute_distances(hst))
     assert not np.array_equal(after, before)
+
+
+def test_deep_caterpillar_beyond_the_recursion_limit():
+    n = 1201  # 1,200 internal levels
+    hst = chain_hst(n)
+    rng = np.random.default_rng(40)
+    pairs = [(0, n - 1), (n - 1, 0), (n - 2, n - 1), (1, 2)]
+    pairs += [tuple(int(x) for x in rng.integers(0, n, size=2)) for _ in range(400)]
+    brute = brute_distances(hst, pairs)
+    du = hst.distance_matrix()
+    for a, b in pairs:
+        assert du[a, b] == brute[a, b]
+    assert hst.preorder_leaves() == list(range(n))
+    back = hst_from_json(json.loads(json.dumps(hst_to_json(hst))))
+    assert back.preorder_leaves() == hst.preorder_leaves()
+    assert np.array_equal(back.distance_matrix(), du)
+    labels = build_lca_labels(hst)
+    for a, b in pairs:
+        if a != b:
+            assert lca_from_labels(labels[a], labels[b])[1] == du[a, b]
+    _rescale_labels(hst.root, 0.5)
+    assert np.array_equal(hst.distance_matrix(), du * 0.5)
+
+
+def test_collapse_deep_single_child_chains():
+    # a caterpillar whose every internal node hangs below a single-child wrapper
+    node = HstNode(label=0.0, point=0)
+    for depth in range(1, 700):
+        node = HstNode(label=float(depth), children=[node, HstNode(0.0, point=depth)])
+        node = HstNode(label=float(depth), children=[node])
+    root = _collapse(node)
+    assert root.children[1].point == 699
+    hst = HST(root, 700)
+    stack = [hst.root]
+    while stack:
+        x = stack.pop()
+        assert len(x.children) in (0, 2)
+        stack.extend(x.children)
+    assert np.array_equal(hst.distance_matrix(), chain_hst(700).distance_matrix())
 
 
 def test_cover_hsts_match_brute_force():

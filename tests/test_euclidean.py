@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from lsorder.euclidean import (
+    CENTER_BATCH,
+    GRID_BITS,
+    BallCarvingScheme,
     CoverageError,
+    _ball_torus_share,
+    _grid_chunks,
+    _materialize_grid_ordering,
+    _ordering_from_scheme,
+    _sample_covering_centers,
     build_classic_grid_lso,
     build_triangle_lso,
     build_triangle_lso_verified,
@@ -202,6 +210,210 @@ def test_norm_transfer_property():
         assert rep.passed, f"p={p}: {rep.summary()}"
 
 
+def test_sample_scheme_with_extent_matches_metric_scan():
+    ps = PointSet(np.random.default_rng(31).uniform(size=(25, 3)))
+    dists = LpMetric(ps).matrix()[np.triu_indices(25, 1)]
+    extent = (float(dists.min()), float(dists.max()))
+    a = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=1, shift_count=3, seed=9)
+    b = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=1, shift_count=3, seed=9, extent=extent)
+    assert (a.i_min, a.i_max) == (b.i_min, b.i_max)
+    for key, (ordinals, lattice) in a.assignments.items():
+        assert np.array_equal(ordinals, b.assignments[key][0])
+        assert np.array_equal(lattice, b.assignments[key][1])
+
+
+def test_sampler_counters_in_family_meta():
+    ps = PointSet(np.random.default_rng(32).uniform(size=(40, 2)))
+    fam = build_triangle_lso(ps, p=2, t=4.0, delta=0.5, m=2, seed=5)
+    stats = fam.meta["sampler"]
+    schemes = fam.meta["schemes"]
+    assert stats["centers"] == sum(len(c) for sc in schemes for c in sc.centers.values())
+    assert stats["proposals"] == sum(sc.proposals for sc in schemes) >= stats["centers"]
+    assert stats["proposals"] == CENTER_BATCH * (stats["ball_batches"] + stats["torus_batches"])
+    # coarse scales hold every effective point in one ball: torus proposals win there
+    assert stats["torus_batches"] > 0
+
+
+# --- the center sampler is exact in distribution ---------------------------
+
+
+def naive_covering_centers(eff, w, p, rng):
+    """Reference center process: i.i.d. uniform arrivals on the torus
+    [0, 4w)^d, one at a time; an arrival covering an uncovered point becomes
+    the next center and takes every uncovered point it covers."""
+    m, d = eff.shape
+    period = 4.0 * w
+    ordinals = np.full(m, -1, dtype=np.int64)
+    lattice = np.zeros((m, d), dtype=np.int64)
+    count = 0
+    while (ordinals < 0).any():
+        z = rng.uniform(0.0, period, size=d)
+        diff = eff - z
+        u = np.rint(diff / period)
+        r = diff - period * u
+        norms = np.sqrt((r * r).sum(axis=1)) if p == 2 else (np.abs(r) ** p).sum(axis=1) ** (1.0 / p)
+        hit = (norms <= w) & (ordinals < 0)
+        if hit.any():
+            ordinals[hit] = count
+            lattice[hit] = u[hit]
+            count += 1
+    return ordinals, lattice
+
+
+def cluster_order(ordinals, lattice):
+    """Outcome as the ordering builder reads it: cluster keys per point."""
+    return tuple(ordinals.tolist()), tuple(lattice.ravel().tolist())
+
+
+def partition_pattern(ordinals, lattice):
+    """Outcome up to the order of the clusters."""
+    return frozenset(frozenset(np.flatnonzero(ordinals == o).tolist()) for o in set(ordinals.tolist()))
+
+
+def homogeneity_chi2(a, b, min_count=10):
+    """Two-sample chi-square statistic and degrees of freedom over the
+    categories of two equal-size outcome lists; categories seen fewer than
+    min_count times in both lists together are pooled."""
+    ca, cb = {}, {}
+    for x in a:
+        ca[x] = ca.get(x, 0) + 1
+    for x in b:
+        cb[x] = cb.get(x, 0) + 1
+    rows = []
+    pooled = [0, 0]
+    for key in set(ca) | set(cb):
+        pair = [ca.get(key, 0), cb.get(key, 0)]
+        if sum(pair) < min_count:
+            pooled = [pooled[0] + pair[0], pooled[1] + pair[1]]
+        else:
+            rows.append(pair)
+    if sum(pooled) > 0:
+        rows.append(pooled)
+    obs = np.asarray(rows, dtype=np.float64)
+    expected = obs.sum(axis=1, keepdims=True) * obs.sum(axis=0, keepdims=True) / obs.sum()
+    return float(((obs - expected) ** 2 / expected).sum()), len(rows) - 1
+
+
+def chi2_critical(df, z=3.09):
+    """Upper 0.001 point of chi-square(df), Wilson-Hilferty approximation."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+# w = 1, period 4; points sit near the torus middle, so every lattice vector is 0
+COARSE = np.array([[2.0, 2.0], [2.1, 2.05], [1.9, 2.1], [2.05, 1.85], [1.95, 1.95], [2.12, 1.9]])
+SPREAD = np.array([[1.6, 1.6], [2.4, 1.7], [2.0, 2.5], [2.3, 2.2]])
+
+
+@pytest.mark.parametrize(
+    "eff,p,torus",
+    [(COARSE, 2, True), (COARSE, 1.5, True), (SPREAD, 2, False), (SPREAD, 1.5, False)],
+    ids=["coarse-p2", "coarse-p1.5", "spread-p2", "spread-p1.5"],
+)
+def test_center_sampler_matches_naive_process(eff, p, torus):
+    # the branch under test: torus proposals start when |U| * Vol(ball) > Vol(torus)
+    assert (len(eff) * _ball_torus_share(2, p) > 1.0) == torus
+    runs = 3000
+    fast, slow = [], []
+    torus_batches = 0
+    for r in range(runs):
+        _, ordinals, lattice, counts = _sample_covering_centers(eff, 1.0, p, seeds.rng_for(101, "fast", r))
+        torus_batches += counts["torus_batches"]
+        fast.append((ordinals, lattice))
+        slow.append(naive_covering_centers(eff, 1.0, p, seeds.rng_for(101, "naive", r)))
+    assert (torus_batches > 0) == torus
+    for outcome in (partition_pattern, cluster_order):
+        stat, df = homogeneity_chi2([outcome(*x) for x in fast], [outcome(*x) for x in slow])
+        assert df >= 3, outcome.__name__
+        assert stat < chi2_critical(df), (outcome.__name__, stat, df)
+
+
+def test_ball_torus_share_closed_forms():
+    assert _ball_torus_share(2, 2) == pytest.approx(math.pi / 16)
+    assert _ball_torus_share(3, 2) == pytest.approx(4 / 3 * math.pi / 64)
+    assert _ball_torus_share(2, 1) == pytest.approx(2 / 16)  # l1 ball of radius 1: area 2
+
+
+# --- lexsort orderings equal the tuple-key sorts ---------------------------
+
+
+def tuple_key_ordering(n, scheme):
+    """Reference: per-point list of (ordinal, lattice tuple) keys from i_max
+    down, sorted with the point id as the last key."""
+    keys = [[] for _ in range(n)]
+    for i in range(scheme.i_max, scheme.i_min - 1, -1):
+        ordinals, lattice = scheme.assignments[scheme.base_of(i)]
+        for pid in range(n):
+            keys[pid].append((int(ordinals[pid]), tuple(int(x) for x in lattice[pid])))
+    return sorted(range(n), key=lambda pid: (keys[pid], pid))
+
+
+@pytest.mark.parametrize("d,gamma,seed", [(1, 1, 0), (2, 1, 1), (2, 3, 2), (3, 2, 3), (4, 1, 4)])
+def test_scheme_ordering_lexsort_matches_tuple_keys(d, gamma, seed):
+    rng = np.random.default_rng(seed)
+    n = 60
+    for _ in range(10):
+        i_min = int(rng.integers(-4, 2))
+        scheme = BallCarvingScheme(dim=d, p=2, t_internal=2.0, delta=0.5, xi=6.0, gamma=gamma,
+                                   shift=0, shift_count=1, seed=0, i_min=i_min,
+                                   i_max=i_min + int(rng.integers(0, 6)))
+        for i in range(scheme.i_min, scheme.i_max + 1):
+            # few ordinals and lattice values: many tied keys, negative vectors
+            scheme.assignments[scheme.base_of(i)] = (
+                rng.integers(0, 3, size=n),
+                rng.integers(-2, 2, size=(n, d)),
+            )
+        assert _ordering_from_scheme(PointSet(np.zeros((n, d))), scheme).perm == tuple_key_ordering(n, scheme)
+
+
+def tuple_key_grid_ordering(pi, phase, b, pattern):
+    """Reference: per-point list of (0, phase symbol), (0, rank) or
+    (1, symbol) chunk keys, sorted with the point id as the last key."""
+    n, d = pi.shape
+    keys = []
+    for pid in range(n):
+        coords = pi[pid]
+        key = []
+        level = 0
+        if phase > 0:
+            sym = 0
+            for axis in range(d):
+                sym |= (int(coords[axis]) >> (GRID_BITS - phase) & ((1 << phase) - 1)) << (phase * axis)
+            key.append((0, sym))
+            level = phase
+        while level < GRID_BITS:
+            width = min(b, GRID_BITS - level)
+            sym = 0
+            for axis in range(d):
+                sym |= (int(coords[axis]) >> (GRID_BITS - level - width) & ((1 << width) - 1)) << (width * axis)
+            key.append((0, pattern[sym]) if width == b and sym in pattern else (1, sym))
+            level += width
+        keys.append((key, pid))
+    keys.sort()
+    return [pid for _, pid in keys]
+
+
+@pytest.mark.parametrize(
+    "d,b,phase",
+    [(1, 1, 0), (2, 2, 0), (2, 2, 1), (2, 7, 0), (2, 7, 3), (3, 3, 2), (4, 14, 13)],
+)
+def test_grid_ordering_lexsort_matches_tuple_keys(d, b, phase):
+    rng = np.random.default_rng(100 * d + 10 * b + phase)
+    n = 50
+    # shared high bits make long runs of tied chunks; duplicates tie every chunk
+    high = rng.integers(0, 4, size=(n, d)) << (GRID_BITS - 2)
+    pi = high | rng.integers(0, 1 << 8, size=(n, d)) << (GRID_BITS - 12)
+    pi[n // 2 :: 7] = pi[0]
+    syms = sorted({int(s) for s in rng.integers(0, 1 << (b * d), size=12)})
+    for ranked_share in (0.0, 0.5, 1.0):
+        chosen = [s for s in syms if rng.random() < ranked_share]
+        pattern = {s: rank for rank, s in enumerate(rng.permutation(chosen).tolist())}
+        chunks, full = _grid_chunks(pi, phase, b)
+        assert _materialize_grid_ordering(chunks, full, b * d, pattern) == tuple_key_grid_ordering(
+            pi, phase, b, pattern
+        )
+
+
 def test_carve_scale_coverage_error_when_centers_missing():
     ps = PointSet(np.random.default_rng(23).uniform(size=(10, 2)))
     scheme = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=0, shift_count=1, seed=24)
@@ -291,15 +503,18 @@ def test_grid_lso_lookup_serves_every_pair():
     ps = PointSet(rng.uniform(size=(n, 2)))
     grid = build_classic_grid_lso(ps, eps=0.25, seed=28)
     fam = grid.family
-    mat = LpMetric(ps).matrix()
+    served = {}
     for x in range(n):
         for y in range(x + 1, n):
             k = grid.satisfying_ordering(x, y)
             assert k is not None
-            single = OrderingFamily("classic", [fam.orderings[k]], rho=0.25)
-            sub = verify_classic(single, LpMetric(ps))
-            bad = {(a, b) for a, b, _ in sub.violations}
-            assert (x, y) not in bad
+            served.setdefault(k, []).append((x, y))
+    for k, pairs in served.items():  # one verification per distinct ordering
+        single = OrderingFamily("classic", [fam.orderings[k]], rho=0.25)
+        sub = verify_classic(single, LpMetric(ps))
+        bad = {(a, b) for a, b, _ in sub.violations}
+        for pair in pairs:
+            assert pair not in bad
 
 
 def test_grid_lso_rejects_large_dimension():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lsorder import metrics
 from lsorder.metrics import (
     EpsilonNet,
     LpMetric,
@@ -121,6 +122,33 @@ def test_metric_matrix_symmetric_vs_pointwise():
         for _ in range(50):
             i, j = rng.integers(0, 40, size=2)
             assert mat[i, j] == pytest.approx(m.dist(i, j))
+
+
+def one_shot_lp_matrix(pts, p):
+    """Reference: the whole n x n x d difference array at once."""
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    if p == math.inf:
+        return diff.max(axis=2)
+    if p == 2:
+        return np.sqrt((diff * diff).sum(axis=2))
+    if p == 1:
+        return diff.sum(axis=2)
+    return (diff**p).sum(axis=2) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
+def test_lp_matrix_row_blocks_bitwise_equal_one_shot(p, monkeypatch):
+    rng = np.random.default_rng(17)
+    pts = rng.normal(size=(37, 5)) * 10.0 ** rng.integers(-3, 4, size=(37, 1))
+    expected = one_shot_lp_matrix(pts, p)
+    for rows in (1, 2, 5, 36, 37, 100):  # uneven last blocks, one block, more than n
+        monkeypatch.setattr(metrics, "MATRIX_BLOCK_FLOATS", rows * 37 * 5)
+        assert LpMetric(PointSet(pts), p).matrix().tobytes() == expected.tobytes(), rows
+    monkeypatch.undo()
+    # at the default block size, 1100 points in 3 dimensions take two blocks
+    big = rng.uniform(size=(1100, 3))
+    assert metrics.MATRIX_BLOCK_FLOATS // (1100 * 3) < 1100
+    assert np.array_equal(LpMetric(PointSet(big), p).matrix(), one_shot_lp_matrix(big, p))
 
 
 def test_metric_axioms_sampled_triples():
