@@ -479,27 +479,17 @@ class GridClassicLso:
 
     def satisfying_ordering(self, x, y):
         """Ordering index serving the pair (point ids)."""
-        if x == y:
-            return 0
-        sh, lvl = _best_shift(self.points_int, x, y, self.b)
-        key = _pair_key(self.points_int, sh, lvl, self.b, x, y)
+        if x == y or not self.shifts:
+            return 0  # a degenerate family is one ordering of identical points
+        # per shift, the deepest level at which x and y share a cell; the
+        # first deepest shift wins
+        xor = self.points_int[:, x] ^ self.points_int[:, y]
+        lvl = (GRID_BITS - floor_log2(2 * xor + 1)).min(axis=1)
+        sh = int(np.argmax(lvl))
+        if lvl[sh] == GRID_BITS:
+            return 0  # coincident points are adjacent in every grid ordering
+        key = _pair_key(self.points_int, sh, int(lvl[sh]), self.b, x, y)
         return self.pair_lookup.get(key)
-
-
-def _split_level(xi_arr, yi_arr):
-    """Deepest level at which two int-grid points share a cell (per shift)."""
-    xor = xi_arr ^ yi_arr
-    bl = floor_log2(2 * xor + 1)
-    return int((GRID_BITS - bl).min())
-
-
-def _best_shift(points_int, x, y, b):
-    best_sh, best_lvl = 0, -1
-    for sh in range(len(points_int)):
-        lvl = _split_level(points_int[sh][x], points_int[sh][y])
-        if lvl > best_lvl:
-            best_sh, best_lvl = sh, lvl
-    return best_sh, best_lvl
 
 
 def _chunk_symbol(points_int, sh, pid, level_top, b):
@@ -569,7 +559,7 @@ def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
     if extent == 0.0:
         fam = OrderingFamily(CLASSIC, [Ordering(range(n))], rho=eps)
         fam.meta["construction"] = "grid-degenerate"
-        return GridClassicLso(fam, [], [], 1, {}, 1.0)
+        return GridClassicLso(fam, np.zeros((0, n, d), dtype=np.int64), [], 1, {}, 1.0)
     norm = (pts - mins) / (extent * (1 + 1e-12))
     metric = LpMetric(ps, 2)
     mat_norm = LpMetric(PointSet(norm), 2).matrix()
@@ -577,10 +567,8 @@ def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
     rng = seeds.rng_for(seed, "grid-extra-shifts")
     shifts = [np.full(d, j / num_base_shifts) for j in range(num_base_shifts)]
     for round_idx in range(max_rounds):
-        points_int = []
-        for off in shifts:
-            scaled = (norm + off[None, :]) / 2.0
-            points_int.append((scaled * (1 << GRID_BITS)).astype(np.int64))
+        scaled = (norm[None, :, :] + np.array(shifts)[:, None, :]) / 2.0
+        points_int = (scaled * (1 << GRID_BITS)).astype(np.int64)  # (shifts, n, d)
         # deepest common level per pair under its best shift
         best_lvl = np.full((n, n), -1, dtype=np.int64)
         best_sh = np.zeros((n, n), dtype=np.int64)

@@ -103,7 +103,6 @@ class FtTwoHopPathSpanner:
         if f < 0:
             raise ValueError("fault budget must be >= 0")
         self.n = int(n)
-        self.f_requested = int(f)
         self.f = int(f) + (int(f) & 1)
         self.n_padded = _next_pow2(self.n)
         self.delta = self.n_padded.bit_length() - 1

@@ -3,7 +3,11 @@ exact ultrametric NNS via preorder positions + lca labels, and the dynamic
 reductions from rooted / triangle ordering families.
 
 Labels are assigned once over the host point set; the dynamic structures see
-only labels of the current subset P plus the query's label.
+only labels of the current subset P plus the query's label.  A triangle label
+is two arrays: the point's position in each ordering and its distance to the
+2-hop midpoint of that position at each hop level, so a pair's midpoint weight
+is an O(1) lookup at the top bit of the two positions' xor, and a query is one
+vectorized estimate over every ordering's predecessor and successor.
 """
 
 from bisect import bisect_left, insort
@@ -12,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hopsets import TwoHopPathSpanner
+from .metrics import floor_log2
 from .orderings import ROOTED, TRIANGLE
 
 
@@ -319,50 +324,61 @@ def _entry_distance(label, oid):
 # triangle-LSO reduction
 
 
-@dataclass
+@dataclass(eq=False)
 class TriangleNnsLabel:
+    """positions[o]: 1-indexed position in ordering o; weights[o, k]: distance
+    to the level-(k+1) midpoint ((pos-1) >> (k+1) << (k+1)) + 2^k of that
+    position (the 0.0 diagonal where the position is that midpoint, NaN
+    past n)."""
+
     point: int
-    positions: dict  # ordering id -> position (1-indexed for hop structure)
-    midpoints: dict  # ordering id -> list of (midpoint position, metric distance)
+    positions: np.ndarray  # (m,) int64
+    weights: np.ndarray  # (m, delta) float64
 
 
 def assign_triangle_labels(fam, metric):
-    """Per ordering: position plus the responsible midpoint edges of the
-    2-hop structure over host positions, with true metric weights."""
+    """Per ordering: position plus the distances to the 2-hop structure's
+    midpoints of that position, one per hop level, with true metric weights."""
     if fam.kind != TRIANGLE:
         raise ValueError("triangle labels need a triangle family")
     n_host = len(fam.orderings[0].perm) if fam.orderings else 0
     hop = TwoHopPathSpanner(n_host)
     mat = metric.matrix()
-    # the midpoint lists depend on positions only: flatten them once
-    mids_of = [hop.edges_of(pos) for pos in range(1, n_host + 1)]
-    ends = np.cumsum([len(mids) for mids in mids_of]).tolist()
-    owner = np.repeat(np.arange(n_host), [len(mids) for mids in mids_of])
-    mid0 = np.asarray([l - 1 for mids in mids_of for l in mids], dtype=np.int64)
-    labels = {}
-    for oid, o in enumerate(fam.orderings):
-        perm = np.asarray(o.perm, dtype=np.int64)
-        weights = mat[perm[owner], perm[mid0]].tolist()
-        start = 0
-        for pos0, pid in enumerate(o.perm):
-            label = labels.setdefault(pid, TriangleNnsLabel(pid, {}, {}))
-            label.positions[oid] = pos0 + 1
-            label.midpoints[oid] = list(zip(mids_of[pos0], weights[start : ends[pos0]]))
-            start = ends[pos0]
+    perms = np.array([o.perm for o in fam.orderings], dtype=np.int64)  # (m, n)
+    m, delta = perms.shape[0], hop.delta
+    oids = np.arange(m)[:, None]
+    positions = np.empty((n_host, m), dtype=np.int64)
+    positions[perms, oids] = np.arange(1, n_host + 1)
+    weights = np.full((n_host, m, delta), np.nan)
+    pos = np.arange(1, n_host + 1)
+    for k in range(delta):
+        mid = ((pos - 1) >> (k + 1) << (k + 1)) + (1 << k)
+        ok = mid <= n_host
+        weights[perms[:, ok], oids, k] = mat[perms[:, ok], perms[:, mid[ok] - 1]]
+    labels = {
+        pid: TriangleNnsLabel(pid, positions[pid], weights[pid])
+        for pid in fam.orderings[0].perm
+    }
     return labels, hop
 
 
 class TriangleNns:
     """Dynamic 2*rho-NNS: predecessor/successor per ordering, each estimated
-    through the 2-hop midpoint, whose weights live in the labels."""
+    through the 2-hop midpoint, whose weights live in the labels.
+
+    The pair's midpoint is the level-(k+1) midpoint of both positions, k the
+    top bit of their xor, so both weights are one lookup at level k.
+    """
 
     def __init__(self, fam, labels, hop):
         self.rho = fam.rho
-        self.num_orderings = len(fam.orderings)
         self.labels = labels
-        self.hop = hop
-        self.structs = [PredecessorSet(self.hop.n + 1) for _ in range(self.num_orderings)]
-        self.point_at = {}
+        m = fam.tau
+        self.structs = [PredecessorSet(hop.n + 1) for _ in range(m)]
+        self._oids = np.arange(m)
+        self._oids2 = np.concatenate([self._oids, self._oids])
+        self.point_at = np.full((m, hop.n + 1), -1, dtype=np.int64)
+        self.stored = np.full((hop.n, m, hop.delta), np.nan)  # weights by point id
         self.current = set()
 
     def insert(self, pid):
@@ -370,55 +386,39 @@ class TriangleNns:
             return
         self.current.add(pid)
         label = self.labels[pid]
-        for oid, pos in label.positions.items():
-            self.structs[oid].insert(pos)
-            self.point_at[(oid, pos)] = pid
+        for s, pos in zip(self.structs, label.positions.tolist()):
+            s.insert(pos)
+        self.point_at[self._oids, label.positions] = pid
+        self.stored[pid] = label.weights
 
     def delete(self, pid):
         if pid not in self.current:
             return
         self.current.discard(pid)
-        for oid, pos in self.labels[pid].positions.items():
-            self.structs[oid].delete(pos)
-            self.point_at.pop((oid, pos), None)
-
-    def _estimate(self, q_label, oid, cand_pos):
-        qpos = q_label.positions[oid]
-        lo, hi = min(qpos, cand_pos), max(qpos, cand_pos)
-        mid = self.hop.query(lo, hi)
-        cand = self.point_at[(oid, cand_pos)]
-        d_q_mid = _mid_weight(q_label, oid, mid)
-        d_mid_c = _mid_weight(self.labels[cand], oid, mid)
-        return cand, d_q_mid + d_mid_c
+        positions = self.labels[pid].positions
+        for s, pos in zip(self.structs, positions.tolist()):
+            s.delete(pos)
+        self.point_at[self._oids, positions] = -1
 
     def query(self, q_label):
         if not self.current:
             raise EmptyStructureError("no points stored")
         if q_label.point in self.current:
             return q_label.point, 0.0
-        best = None
-        for oid, qpos in q_label.positions.items():
-            s = self.structs[oid]
-            if len(s) == 0:
-                continue
-            for cand_pos in (s.predecessor(qpos), s.successor(qpos)):
-                if cand_pos is None:
-                    continue
-                cand, est = self._estimate(q_label, oid, cand_pos)
-                if best is None or est < best[1] or (est == best[1] and cand < best[0]):
-                    best = (cand, est)
-        if best is None:
-            raise EmptyStructureError("no points stored in any ordering")
-        return best
-
-
-def _mid_weight(label, oid, mid_pos):
-    if label.positions[oid] == mid_pos:
-        return 0.0
-    for pos, dist in label.midpoints[oid]:
-        if pos == mid_pos:
-            return dist
-    raise KeyError(f"midpoint {mid_pos} not in label of {label.point} (ordering {oid})")
+        # positions are 1-indexed, so 0 stands for a missing neighbor
+        qpos = q_label.positions.tolist()
+        cpos = np.array(
+            [s.predecessor(x) or 0 for s, x in zip(self.structs, qpos)]
+            + [s.successor(x) or 0 for s, x in zip(self.structs, qpos)]
+        )
+        found = cpos > 0
+        oids = self._oids2[found]
+        cpos = cpos[found]
+        k = floor_log2((q_label.positions[oids] - 1) ^ (cpos - 1))
+        cand = self.point_at[oids, cpos]
+        est = q_label.weights[oids, k] + self.stored[cand, oids, k]
+        best = np.lexsort((cand, est))[0]
+        return int(cand[best]), float(est[best])
 
 
 def label_budget_report(labels):
@@ -428,7 +428,13 @@ def label_budget_report(labels):
         if isinstance(lab, RootedNnsLabel):
             sizes.append(len(lab.entries))
         elif isinstance(lab, TriangleNnsLabel):
-            sizes.append(sum(1 + len(m) for m in lab.midpoints.values()))
+            # per ordering 1 + |E_p|: the finite levels, plus p itself when
+            # p = 2^delta, the one position that is no level's midpoint
+            m, delta = lab.weights.shape
+            sizes.append(
+                m + int(np.count_nonzero(~np.isnan(lab.weights)))
+                + int(np.count_nonzero(lab.positions == 1 << delta))
+            )
         else:
             sizes.append(len(lab.spine))
     return {"max_entries": max(sizes), "mean_entries": float(np.mean(sizes))}

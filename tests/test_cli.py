@@ -8,7 +8,9 @@ import pytest
 
 from lsorder import fileio
 from lsorder.cli import load_metric, main, make_parser
+from lsorder.euclidean import build_triangle_lso_verified
 from lsorder.metrics import LpMetric, PointSet, WeightedGraph, shortest_path_metric
+from lsorder.nns import TriangleNns, assign_triangle_labels
 from lsorder.orderings import Ordering, OrderingFamily, build_rooted_lso_tree
 
 
@@ -162,6 +164,35 @@ def test_nns_subcommand(tmp_path):
     ans = int(lines[2].split()[0])
     assert float(lines[2].split()[1]) >= mat[5, ans] - 1e-9
     assert mat[5, ans] == min(mat[5, 0], mat[5, 3])
+
+
+def test_nns_subcommand_triangle(tmp_path):
+    rng = np.random.default_rng(6)
+    n = 24
+    ppath = tmp_path / "pts.txt"
+    fileio.write_points(ppath, PointSet(rng.uniform(size=(n, 2))))
+    fam = build_triangle_lso_verified(fileio.read_points(ppath), 2, 4.0, 0.5, seed=7)
+    fpath = tmp_path / "fam.json"
+    fileio.write_family(fpath, fam)
+    argv = ["nns", "--input", str(ppath), "--family", str(fpath)]
+    ops = []
+    for step in range(120):
+        pid = int(rng.integers(0, n))
+        ops.append(("d" if step % 4 == 3 else "q" if step % 2 else "i", pid))
+    proc = run_cli(argv, stdin="".join(f"{op} {pid}\n" for op, pid in ops))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == len(ops)
+    metric, _, _ = load_metric(make_parser().parse_args(argv))
+    labels, hop = assign_triangle_labels(fileio.read_family(fpath), metric)
+    index = TriangleNns(fam, labels, hop)
+    for (op, pid), line in zip(ops, lines):
+        if op == "q":
+            ans, est = index.query(labels[pid])
+            assert line == f"{ans} {est!r}"
+        else:
+            (index.insert if op == "i" else index.delete)(pid)
+            assert line == "ok"
 
 
 def test_path_subcommand_with_faults(tmp_path):

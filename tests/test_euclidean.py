@@ -12,6 +12,7 @@ from lsorder.euclidean import (
     _grid_chunks,
     _materialize_grid_ordering,
     _ordering_from_scheme,
+    _pair_key,
     _sample_covering_centers,
     build_classic_grid_lso,
     build_triangle_lso,
@@ -22,9 +23,9 @@ from lsorder.euclidean import (
     sample_lp_ball,
     sample_scheme,
 )
-from lsorder.metrics import LpMetric, PointSet, lp_distance
-from lsorder.orderings import OrderingFamily, verify_classic, verify_triangle
-from lsorder import seeds
+from lsorder.metrics import LpMetric, PointSet, floor_log2, lp_distance
+from lsorder.orderings import OrderingFamily, VerificationReport, verify_classic, verify_triangle
+from lsorder import euclidean, seeds
 
 
 def test_sample_lp_ball_inside():
@@ -529,3 +530,73 @@ def test_grid_lso_determinism():
     g1 = build_classic_grid_lso(PointSet(pts), eps=0.25, seed=31)
     g2 = build_classic_grid_lso(PointSet(pts), eps=0.25, seed=31)
     assert [o.perm for o in g1.family.orderings] == [o.perm for o in g2.family.orderings]
+
+
+def loop_satisfying_ordering(grid, x, y):
+    """Reference hint: a Python loop over the shifts, one split level per
+    shift, where only a strictly deeper level replaces the best shift."""
+    if x == y:
+        return 0
+    best_sh, best_lvl = 0, -1
+    for sh in range(len(grid.shifts)):
+        xor = grid.points_int[sh][x] ^ grid.points_int[sh][y]
+        lvl = int((GRID_BITS - floor_log2(2 * xor + 1)).min())
+        if lvl > best_lvl:
+            best_sh, best_lvl = sh, lvl
+    return grid.pair_lookup.get(_pair_key(grid.points_int, best_sh, best_lvl, grid.b, x, y))
+
+
+def grid_with_extra_round(monkeypatch, ps, eps, seed):
+    """Grid family whose first verification is reported failed, so the build
+    adds one random diagonal shift and verifies again."""
+    real = euclidean.verify_classic
+    calls = []
+
+    def fail_first(fam, metric, hint=None):
+        rep = real(fam, metric, hint=hint)
+        calls.append(rep)
+        if len(calls) == 1:
+            return VerificationReport(rep.kind, rep.rho, rep.pairs_checked, [(0, 1, math.inf)], math.inf)
+        return rep
+
+    monkeypatch.setattr(euclidean, "verify_classic", fail_first)
+    grid = build_classic_grid_lso(ps, eps, seed=seed)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    return grid
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extra_round", [False, True])
+def test_grid_hint_matches_shift_loop(monkeypatch, d, extra_round):
+    n = 24
+    ps = PointSet(np.random.default_rng(40 + d).uniform(size=(n, d)))
+    if extra_round:
+        grid = grid_with_extra_round(monkeypatch, ps, 0.25, seed=41 + d)
+        assert len(grid.shifts) == 2 * d + 2
+    else:
+        grid = build_classic_grid_lso(ps, 0.25, seed=41 + d)
+        assert len(grid.shifts) == 2 * d + 1
+    assert grid.points_int.shape == (len(grid.shifts), n, d)
+    for x in range(n):
+        for y in range(n):
+            k = grid.satisfying_ordering(x, y)
+            assert k is not None
+            assert k == loop_satisfying_ordering(grid, x, y)
+
+
+def test_grid_lso_duplicate_points():
+    # coincident points split at no grid level; the hint used to shift a
+    # chunk by a negative bit count and raise
+    pts = [[0.1, 0.2], [0.1, 0.2], [0.7, 0.3], [0.4, 0.9], [0.7, 0.3]]
+    grid = build_classic_grid_lso(PointSet(pts), eps=0.25, seed=0)
+    assert grid.family.meta["verification"].passed
+    assert grid.satisfying_ordering(0, 1) == 0 and grid.satisfying_ordering(2, 4) == 0
+    assert verify_classic(grid.family, LpMetric(PointSet(pts))).passed
+
+
+def test_grid_lso_degenerate_hint():
+    grid = build_classic_grid_lso(PointSet([[0.5, 0.5]] * 4), eps=0.25)
+    assert grid.family.meta["construction"] == "grid-degenerate"
+    rep = verify_classic(grid.family, LpMetric(PointSet([[0.5, 0.5]] * 4)), hint=grid.satisfying_ordering)
+    assert rep.passed

@@ -144,7 +144,6 @@ def test_ft_edge_bound_spec_example():
 def test_ft_odd_budget_rounds_up():
     ft = FtTwoHopPathSpanner(32, 3)
     assert ft.f == 4
-    assert ft.f_requested == 3
 
 
 def test_ft_block_query_spec_example():

@@ -1,3 +1,6 @@
+import types
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from lsorder.nns import (
     assign_rooted_labels,
     assign_triangle_labels,
     build_lca_labels,
+    label_budget_report,
     lca_from_labels,
 )
 from lsorder.orderings import build_rooted_lso_tree
@@ -377,7 +381,11 @@ def test_triangle_nns_bound_and_domination():
     metric = LpMetric(ps)
     mat = metric.matrix()
     labels, hop = assign_triangle_labels(fam, metric)
-    budget = max(len(m) for lab in labels.values() for m in lab.midpoints.values())
+    # |E_p| per ordering: the finite levels, plus p itself at p = 2^delta
+    budget = max(
+        int((np.isfinite(lab.weights).sum(axis=1) + (lab.positions == 1 << hop.delta)).max())
+        for lab in labels.values()
+    )
     assert budget <= hop.delta + 1
     rho = fam.meta["verification"].max_observed_stretch
     rng = np.random.default_rng(16)
@@ -429,8 +437,6 @@ def test_triangle_nns_empty():
 
 
 def test_label_budget_report():
-    from lsorder.nns import label_budget_report
-
     g = random_tree(30, 21)
     fam = build_rooted_lso_tree(g)
     metric = shortest_path_metric(g)
@@ -441,3 +447,155 @@ def test_label_budget_report():
     elabels, hop = assign_triangle_labels(efam, LpMetric(ps))
     ebudget = label_budget_report(elabels)
     assert ebudget["max_entries"] <= len(efam.orderings) * (hop.delta + 2)
+
+
+# --- triangle NNS against the dict-of-lists reference -----------------------
+
+
+@dataclass
+class RefTriangleLabel:
+    point: int
+    positions: dict  # ordering id -> 1-indexed position
+    midpoints: dict  # ordering id -> list of (midpoint position, metric distance)
+
+
+def ref_triangle_labels(fam, metric, hop):
+    """Per ordering: position plus E_p with true metric weights, as lists."""
+    mat = metric.matrix()
+    labels = {}
+    for oid, o in enumerate(fam.orderings):
+        for pos0, pid in enumerate(o.perm):
+            lab = labels.setdefault(pid, RefTriangleLabel(pid, {}, {}))
+            lab.positions[oid] = pos0 + 1
+            lab.midpoints[oid] = [
+                (l, float(mat[pid, o.perm[l - 1]])) for l in hop.edges_of(pos0 + 1)
+            ]
+    return labels
+
+
+def ref_mid_weight(label, oid, mid_pos):
+    if label.positions[oid] == mid_pos:
+        return 0.0
+    for pos, dist in label.midpoints[oid]:
+        if pos == mid_pos:
+            return dist
+    raise KeyError(f"midpoint {mid_pos} not in label of {label.point} (ordering {oid})")
+
+
+class RefTriangleNns:
+    """Scalar query: per ordering pred/succ, midpoint by hop.query, weights by
+    a linear label scan; lexicographic min of (estimate, point)."""
+
+    def __init__(self, num_orderings, labels, hop):
+        self.labels = labels
+        self.hop = hop
+        self.structs = [SortedListOracle() for _ in range(num_orderings)]
+        self.point_at = {}
+        self.current = set()
+
+    def insert(self, pid):
+        if pid in self.current:
+            return
+        self.current.add(pid)
+        for oid, pos in self.labels[pid].positions.items():
+            self.structs[oid].insert(pos)
+            self.point_at[(oid, pos)] = pid
+
+    def delete(self, pid):
+        if pid not in self.current:
+            return
+        self.current.discard(pid)
+        for oid, pos in self.labels[pid].positions.items():
+            self.structs[oid].delete(pos)
+            del self.point_at[(oid, pos)]
+
+    def query(self, q_label):
+        if not self.current:
+            raise EmptyStructureError("no points stored")
+        if q_label.point in self.current:
+            return q_label.point, 0.0
+        best = None
+        for oid, qpos in q_label.positions.items():
+            s = self.structs[oid]
+            for cand_pos in (s.predecessor(qpos), s.successor(qpos)):
+                if cand_pos is None:
+                    continue
+                mid = self.hop.query(qpos, cand_pos)
+                cand = self.point_at[(oid, cand_pos)]
+                est = ref_mid_weight(q_label, oid, mid) + ref_mid_weight(self.labels[cand], oid, mid)
+                if best is None or est < best[1] or (est == best[1] and cand < best[0]):
+                    best = (cand, est)
+        return best
+
+
+class GuardedLabels:
+    """Label mapping that fails on a point never inserted nor queried."""
+
+    def __init__(self, labels):
+        self._labels = labels
+        self.allowed = set()
+
+    def __getitem__(self, pid):
+        if pid not in self.allowed:
+            raise AssertionError(f"label of point {pid} read; it was never inserted or queried")
+        return self._labels[pid]
+
+
+def triangle_fuzz(n, d, seed, steps, guarded=False):
+    """Insert/delete/query fuzz of TriangleNns against RefTriangleNns; every
+    answer must match bit for bit.  With guarded=True the structure sees the
+    labels through GuardedLabels and a family without its orderings."""
+    ps, fam = euclid_family(n, d, seed)
+    metric = LpMetric(ps)
+    labels, hop = assign_triangle_labels(fam, metric)
+    ref_labels = ref_triangle_labels(fam, metric, hop)
+    ref = RefTriangleNns(len(fam.orderings), ref_labels, hop)
+    view = GuardedLabels(labels) if guarded else labels
+    shell = types.SimpleNamespace(rho=fam.rho, tau=fam.tau) if guarded else fam
+    dyn = TriangleNns(shell, view, hop)
+    rng = np.random.default_rng(seed + 1)
+    queries = 0
+    for _ in range(steps):
+        r = rng.random()
+        pid = int(rng.integers(0, n))
+        if guarded and r >= 0.25:
+            view.allowed.add(pid)  # inserted or queried from here on
+        if r < 0.25:
+            dyn.delete(pid)
+            ref.delete(pid)
+        elif r < 0.55:
+            dyn.insert(pid)
+            ref.insert(pid)
+        elif not ref.current:
+            with pytest.raises(EmptyStructureError):
+                dyn.query(labels[pid])
+        else:
+            got = dyn.query(labels[pid])
+            want = ref.query(ref_labels[pid])
+            assert type(got[0]) is int and type(got[1]) is float
+            assert (got[0], got[1].hex()) == (want[0], want[1].hex())
+            queries += 1
+    return queries
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 40, 96])
+@pytest.mark.parametrize("d", [2, 4])
+def test_triangle_nns_matches_scalar_reference(n, d):
+    assert triangle_fuzz(n, d, seed=100 * n + d, steps=400) > 0
+
+
+@pytest.mark.parametrize("n", [16, 40])
+def test_triangle_nns_reads_only_stored_and_query_labels(n):
+    assert triangle_fuzz(n, 2, seed=7 * n, steps=600, guarded=True) > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 40, 96])
+def test_triangle_label_sizes_count_midpoint_edges(n):
+    ps, fam = euclid_family(n, 2, 300 + n)
+    labels, hop = assign_triangle_labels(fam, LpMetric(ps))
+    sizes = [
+        sum(1 + len(hop.edges_of(int(pos))) for pos in lab.positions) for lab in labels.values()
+    ]
+    report = label_budget_report(labels)
+    assert report == {"max_entries": max(sizes), "mean_entries": float(np.mean(sizes))}
+    assert type(report["max_entries"]) is int
