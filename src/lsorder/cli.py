@@ -1,5 +1,6 @@
 """Command line harness: dataset generation, structure builds, verification
-with JSON reports, NNS / path query loops, and smoke benchmarks.
+with JSON reports, and NNS / path query loops.  Each subcommand accepts only
+the flags it reads.
 
 Exit status contract: verification passes iff exit code 0.
 """
@@ -38,6 +39,20 @@ GEN_KINDS = (
     "random-metric",
     "random-tree",
     "random-graph",
+)
+
+STRUCTURES = (
+    "two-hop",
+    "ft-two-hop",
+    "triangle-lso",
+    "grid-lso",
+    "ultrametric-cover",
+    "cover-triangle-lso",
+    "rooted-tree",
+    "rooted-treewidth",
+    "tz",
+    "sparse-cover",
+    "spd-tree",
 )
 
 
@@ -92,8 +107,6 @@ def cmd_gen(args):
             n, [(i, j, float(mat[i, j])) for i in range(n) for j in range(i + 1, n)]
         )
         fileio.write_graph(args.out, complete)
-    else:
-        raise SystemExit(f"unknown dataset kind {args.kind!r}")
     print(f"wrote {args.kind} dataset to {args.out}")
     return 0
 
@@ -178,8 +191,6 @@ def cmd_build(args):
         spd = tree_heavy_path_spd(g)
         sp = spd_spanner(spd, eps=args.eps)
         fileio.write_spanner(args.out, sp)
-    else:
-        raise SystemExit(f"unknown structure {structure!r}")
     print(f"built {structure} in {time.time() - t0:.2f}s -> {args.out}")
     return 0
 
@@ -188,30 +199,23 @@ def cmd_verify(args):
     t0 = time.time()
     metric, _, _ = load_metric(args)
     fam = fileio.read_family(args.family)
-    report_doc = None
     try:
         rep = verify_family(fam, metric)
-        report_doc = fileio.make_report(
-            structure=f"{fam.kind}-family",
-            params={"rho": fam.rho, "tau": fam.tau},
-            seed=args.seed,
-            num_orderings=len(fam.orderings),
-            verified_pairs=rep.pairs_checked,
-            violations=[[int(x), int(y), float(r)] for x, y, r in rep.violations[:100]],
-            max_observed_stretch=rep.max_observed_stretch,
-            timings={"verify_s": time.time() - t0},
-        )
+        pairs, stretch = rep.pairs_checked, rep.max_observed_stretch
+        violations = [[int(x), int(y), float(r)] for x, y, r in rep.violations[:100]]
     except ValueError as exc:
-        report_doc = fileio.make_report(
-            structure=f"{fam.kind}-family",
-            params={"rho": fam.rho, "tau": fam.tau},
-            seed=args.seed,
-            num_orderings=len(fam.orderings),
-            verified_pairs=0,
-            violations=[["structural", str(exc), 0.0]],
-            max_observed_stretch=float("nan"),
-            timings={"verify_s": time.time() - t0},
-        )
+        pairs, stretch = 0, float("nan")
+        violations = [["structural", str(exc), 0.0]]
+    report_doc = fileio.make_report(
+        structure=f"{fam.kind}-family",
+        params={"rho": fam.rho, "tau": fam.tau},
+        seed=args.seed,
+        num_orderings=len(fam.orderings),
+        verified_pairs=pairs,
+        violations=violations,
+        max_observed_stretch=stretch,
+        timings={"verify_s": time.time() - t0},
+    )
     if args.out:
         fileio.write_report(args.out, report_doc)
     print(json.dumps({k: report_doc[k] for k in ("structure", "pass", "max_observed_stretch")}))
@@ -219,7 +223,7 @@ def cmd_verify(args):
 
 
 def cmd_nns(args):
-    metric, g, ps = load_metric(args)
+    metric, _, _ = load_metric(args)
     fam = fileio.read_family(args.family)
     if fam.kind == "rooted":
         labels = assign_rooted_labels(fam, metric)
@@ -249,7 +253,7 @@ def cmd_nns(args):
 
 
 def cmd_path(args):
-    metric, g, ps = load_metric(args)
+    metric, _, _ = load_metric(args)
     fam = fileio.read_family(args.family)
     if fam.kind == "classic":
         sp = pr_spanner_from_classic(fam, metric)
@@ -280,36 +284,6 @@ def cmd_path(args):
     return 0
 
 
-def cmd_bench(args):
-    n = args.n
-    t0 = time.time()
-    s = TwoHopPathSpanner(n)
-    build_s = time.time() - t0
-    rng = _rng(args, "bench")
-    lat = []
-    queries = min(200_000, max(10_000, n // 4))
-    us = rng.integers(1, n + 1, size=queries)
-    vs = rng.integers(1, n + 1, size=queries)
-    for u, v in zip(us, vs):
-        a, b = (int(u), int(v)) if u <= v else (int(v), int(u))
-        t1 = time.perf_counter()
-        s.query(a, b)
-        lat.append(time.perf_counter() - t1)
-    lat.sort()
-    doc = {
-        "structure": "two-hop",
-        "n": n,
-        "build_s": build_s,
-        "queries": queries,
-        "p50_us": lat[len(lat) // 2] * 1e6,
-        "p99_us": lat[int(len(lat) * 0.99)] * 1e6,
-    }
-    if args.out:
-        _dump(args.out, doc)
-    print(json.dumps(doc))
-    return 0
-
-
 def cmd_report(args):
     with open(args.input, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -331,51 +305,52 @@ def make_parser():
     ap = argparse.ArgumentParser(prog="lsorder")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input", help="dataset file (points or graph)")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--structure")
-        p.add_argument("--t", type=float, default=4.0)
-        p.add_argument("--eps", type=float, default=0.25)
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--f", type=int, default=0)
-        p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--delta", type=float, default=0.5)
-        p.add_argument("--n", type=int, default=16)
-        p.add_argument("--d", type=int, default=2)
-
     g = sub.add_parser("gen", help="generate a dataset")
     g.add_argument("kind", choices=GEN_KINDS)
-    common(g)
+    g.add_argument("--n", type=int, default=16)
+    g.add_argument("--d", type=int, default=2)
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--out", help="output path")
     g.set_defaults(func=cmd_gen)
 
     b = sub.add_parser("build", help="build a structure")
-    common(b)
+    b.add_argument("--structure", required=True, choices=STRUCTURES)
+    b.add_argument("--input", help="dataset file (points or graph)")
+    b.add_argument("--out", help="output path")
+    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--n", type=int, default=16)
+    b.add_argument("--f", type=int, default=0)
+    b.add_argument("--p", type=float, default=2.0)
+    b.add_argument("--t", type=float, default=4.0)
+    b.add_argument("--delta", type=float, default=0.5)
+    b.add_argument("--eps", type=float, default=0.25)
+    b.add_argument("--k", type=int, default=2)
     b.add_argument("--td", help="tree decomposition file")
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="verify an ordering family file")
-    common(v)
+    v.add_argument("--input", help="dataset file (points or graph)")
     v.add_argument("--family", required=True)
+    v.add_argument("--out", help="report path")
+    v.add_argument("--p", type=float, default=2.0)
+    v.add_argument("--seed", type=int, default=0, help="echoed into the report")
     v.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("nns", help="drive NNS queries from stdin")
-    common(q)
+    q.add_argument("--input", help="dataset file (points or graph)")
     q.add_argument("--family", required=True)
+    q.add_argument("--p", type=float, default=2.0)
     q.set_defaults(func=cmd_nns)
 
     pth = sub.add_parser("path", help="drive path queries from stdin")
-    common(pth)
+    pth.add_argument("--input", help="dataset file (points or graph)")
     pth.add_argument("--family", required=True)
+    pth.add_argument("--f", type=int, default=0)
+    pth.add_argument("--p", type=float, default=2.0)
     pth.set_defaults(func=cmd_path)
 
-    be = sub.add_parser("bench", help="smoke benchmark")
-    common(be)
-    be.set_defaults(func=cmd_bench)
-
     r = sub.add_parser("report", help="summarize a report file")
-    common(r)
+    r.add_argument("--input", help="report file")
     r.set_defaults(func=cmd_report)
     return ap
 

@@ -50,21 +50,10 @@ class Partition:
 @dataclass
 class PaddedPartitionCover:
     partitions: list
-    rho: float
-    delta: float
 
     @property
     def tau(self):
         return len(self.partitions)
-
-    def padded_partition_of(self, mat, x):
-        """Index of a partition whose cluster contains B(x, delta/rho), or None."""
-        pad = self.delta / self.rho
-        ball = np.nonzero(mat[x] <= pad * (1 + 1e-12))[0]
-        for idx, part in enumerate(self.partitions):
-            if np.all(part.assignment[ball] == part.assignment[x]):
-                return idx
-        return None
 
 
 def carve_partition(metric, delta, rng):
@@ -72,7 +61,7 @@ def carve_partition(metric, delta, rng):
     radius Delta/2 over a Delta/4-net."""
     mat = metric.matrix()
     n = metric.n
-    net = build_epsilon_net(None, metric, delta / 4.0).net
+    net = build_epsilon_net(metric, delta / 4.0)
     order = list(rng.permutation(len(net)))
     assignment = np.full(n, -1, dtype=np.int64)
     next_id = 0
@@ -117,7 +106,7 @@ def build_padded_partition_cover(metric, delta, t, seed, max_partitions=64, min_
         raise RuntimeError(
             f"padding failed after {max_partitions} partitions; worst point {worst}"
         )
-    return PaddedPartitionCover(partitions=partitions, rho=float(t), delta=float(delta))
+    return PaddedPartitionCover(partitions=partitions)
 
 
 @dataclass
@@ -306,7 +295,6 @@ def _collapse(root):
 class UltrametricCover:
     hsts: list
     rho: float
-    scale_factor: float = 1.0
     rounds: int = 1
 
     @property
@@ -324,7 +312,7 @@ class UltrametricCover:
 def build_ultrametric_cover(metric, t, eps=0.25, seed=0, max_rounds=6):
     """Dominating ultrametric cover with min-over-HSTs stretch <= t.
 
-    Internally rescales so the minimum distance is 1 (factor recorded),
+    Internally rescales so the minimum distance is 1 (labels scaled back),
     builds padded partition covers at scales Delta_i = c*(4*rho/eps)^i for
     every shift c = (1+eps)^l, laminarizes each per-cover-index chain, and
     collects the HSTs.  The chain-minimum stretch is checked on the input;
@@ -368,7 +356,7 @@ def build_ultrametric_cover(metric, t, eps=0.25, seed=0, max_rounds=6):
                 if len(h.levels[-1]) != 1:
                     raise AssertionError("top scale must merge everything into one cluster")
                 hsts.append(hierarchy_to_hst(h))
-        cover = UltrametricCover(hsts=hsts, rho=float(t), scale_factor=scale)
+        cover = UltrametricCover(hsts=hsts, rho=float(t))
         stretch = cover.min_distance_matrix() / np.where(mat > 0, mat, 1.0)
         worst = float(stretch.max())
         if worst <= t * (1 + 1e-9):

@@ -70,13 +70,10 @@ class BallCarvingScheme:
 
     dim: int
     p: float
-    t_internal: float
     delta: float
     xi: float
     gamma: int
     shift: int
-    shift_count: int
-    seed: int
     i_min: int
     i_max: int
     base_widths: list = field(default_factory=list)
@@ -101,10 +98,6 @@ class ScaleClustering:
     width: float
     scale: int
     assignment: dict  # point id -> (center ordinal, lattice tuple)
-
-    def cluster_key(self, pid):
-        ordinal, u = self.assignment[pid]
-        return (ordinal, u)
 
 
 def ordering_scale_range(metric_or_ps, scheme, extent=None):
@@ -143,7 +136,7 @@ def _effective_points(points, scheme, j):
     return ks, blocks
 
 
-def sample_scheme(ps, p, t_internal, delta, shift, shift_count, seed, extent=None):
+def sample_scheme(ps, p, t_internal, delta, shift, seed, extent=None):
     """Sample the assignment-relevant center sequence for one ordering.
 
     `extent` is the input's (min positive, max) pairwise distance; builders
@@ -156,13 +149,10 @@ def sample_scheme(ps, p, t_internal, delta, shift, shift_count, seed, extent=Non
     scheme = BallCarvingScheme(
         dim=d,
         p=p,
-        t_internal=t_internal,
         delta=delta,
         xi=xi,
         gamma=gamma,
         shift=shift,
-        shift_count=shift_count,
-        seed=seed,
         i_min=0,
         i_max=0,
     )
@@ -344,7 +334,7 @@ def build_triangle_lso(ps, p, t, delta, m=None, seed=0):
     for s in range(shift_count):
         for q in range(m):
             scheme = sample_scheme(
-                ps, p, t_int, delta, s, shift_count, seeds.derive(seed, "ordering", s, q), extent
+                ps, p, t_int, delta, s, seeds.derive(seed, "ordering", s, q), extent
             )
             schemes.append(scheme)
             orderings.append(_ordering_from_scheme(ps, scheme))
@@ -469,13 +459,12 @@ class GridClassicLso:
     of n.
     """
 
-    def __init__(self, family, points_int, shifts, b, pair_lookup, norm_scale):
+    def __init__(self, family, points_int, shifts, b, pair_lookup):
         self.family = family
         self.points_int = points_int
         self.shifts = shifts
         self.b = b
         self.pair_lookup = pair_lookup
-        self.norm_scale = norm_scale
 
     def satisfying_ordering(self, x, y):
         """Ordering index serving the pair (point ids)."""
@@ -559,7 +548,7 @@ def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
     if extent == 0.0:
         fam = OrderingFamily(CLASSIC, [Ordering(range(n))], rho=eps)
         fam.meta["construction"] = "grid-degenerate"
-        return GridClassicLso(fam, np.zeros((0, n, d), dtype=np.int64), [], 1, {}, 1.0)
+        return GridClassicLso(fam, np.zeros((0, n, d), dtype=np.int64), [], 1, {})
     norm = (pts - mins) / (extent * (1 + 1e-12))
     metric = LpMetric(ps, 2)
     mat_norm = LpMetric(PointSet(norm), 2).matrix()
@@ -623,7 +612,7 @@ def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
         fam.meta["construction"] = "shifted-grid"
         fam.meta["chunk_bits"] = b
         fam.meta["num_shifts"] = len(shifts)
-        grid = GridClassicLso(fam, points_int, shifts, b, pair_lookup, extent)
+        grid = GridClassicLso(fam, points_int, shifts, b, pair_lookup)
         report = verify_classic(fam, metric, hint=grid.satisfying_ordering)
         fam.meta["verification"] = report
         if report.passed:

@@ -149,9 +149,10 @@ class FtTwoHopPathSpanner:
     def query(self, i, j, faults=()):
         """Surviving midpoint l with i <= l <= j and l not in faults.
 
-        Descends to the first halving level whose middle block separates i, j
-        (clique segments answer directly); returns the lowest surviving block
-        member between i and j.
+        Closed form of the halving descent: the first segment whose middle
+        block separates i, j has size 2^(k+1), k the top bit of
+        (i-1) ^ (j-1); at or below clique size the pair is a direct edge.
+        Returns the lowest surviving block member between i and j.
         """
         F = set(faults)
         if len(F) > self.f:
@@ -164,23 +165,17 @@ class FtTwoHopPathSpanner:
             i, j = j, i
         if i == j:
             return i
-        lo, hi = 1, self.n_padded
-        while True:
-            size = hi - lo + 1
-            if size <= self.clique_size:
-                return i  # direct clique edge {i, j}
-            mid = lo - 1 + size // 2
-            if j <= mid:
-                hi = mid
-                continue
-            if i > mid:
-                lo = mid + 1
-                continue
-            blo, bhi = self._block(lo, hi)
-            for l in range(max(blo, i), min(bhi, j) + 1):
-                if l not in F:
-                    return l
-            raise AssertionError("no surviving midpoint; impossible for |F| <= f")
+        k = ((i - 1) ^ (j - 1)).bit_length() - 1
+        size = 1 << (k + 1)
+        if size <= self.clique_size:
+            return i  # direct clique edge {i, j}
+        base = ((i - 1) >> (k + 1)) << (k + 1)
+        mid = base + (1 << k)
+        half = self.f // 2
+        for l in range(max(mid - half, i, base + 1), min(mid + half, j, base + size) + 1):
+            if l not in F:
+                return l
+        raise AssertionError("no surviving midpoint; impossible for |F| <= f")
 
     def query_batch(self, i_arr, j_arr, fault_mask):
         """Vectorized query: i_arr < j_arr, fault_mask[pos] for pos in 1..n_padded.

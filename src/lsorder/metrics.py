@@ -272,15 +272,9 @@ def shortest_path_metric(g):
     return MatrixMetric(mat)
 
 
-@dataclass
-class EpsilonNet:
-    base: PointSet
-    radius: float
-    net: list
-
-
-def build_epsilon_net(ps, metric, r):
-    """Greedy net in ascending id order: packing >= r, covering <= r."""
+def build_epsilon_net(metric, r):
+    """Greedy net in ascending id order: packing >= r, covering <= r.
+    Returns the net's point ids."""
     if r <= 0:
         raise ValueError("net radius must be positive")
     mat = metric.matrix()
@@ -290,21 +284,13 @@ def build_epsilon_net(ps, metric, r):
         if not covered[i]:
             net.append(i)
             covered |= mat[:, i] < r  # column i: d(j, i) for every later j
-    return EpsilonNet(base=ps, radius=float(r), net=net)
+    return net
 
 
-def aspect_ratio(metric, ps=None):
+def aspect_ratio(metric):
     """Max pairwise distance over min positive pairwise distance."""
-    mat = metric.matrix()
-    n = metric.n
-    if n < 2:
-        raise ValueError("aspect ratio needs at least 2 points")
-    iu = np.triu_indices(n, k=1)
-    vals = mat[iu]
-    pos = vals[vals > 0]
-    if pos.size == 0:
-        raise ValueError("all points identical: aspect ratio undefined")
-    return float(vals.max() / pos.min())
+    dmin, dmax = min_max_pairwise(metric)
+    return dmax / dmin
 
 
 def min_max_pairwise(metric):

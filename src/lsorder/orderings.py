@@ -182,6 +182,36 @@ def window_diameter_table(perm, mat):
     return D
 
 
+def _report_from_best(kind, rho, best, mat):
+    """Report from the per-pair best certified value (best / d(x, y) is the
+    pair's ratio; a zero-distance pair passes iff its best value is 0)."""
+    n = mat.shape[0]
+    bound = rho * (1 + VERIFY_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(mat > 0, best / np.where(mat > 0, mat, 1.0), np.where(best > 0, np.inf, 0.0))
+    iu = np.triu_indices(n, k=1)
+    ratios = ratio[iu]
+    violations = [
+        (int(iu[0][t]), int(iu[1][t]), float(ratios[t]))
+        for t in np.nonzero(ratios > bound)[0]
+    ]
+    max_stretch = float(ratios.max()) if ratios.size else 0.0
+    return VerificationReport(kind, rho, len(ratios), violations, max_stretch)
+
+
+def via_root_weights(fam, mat):
+    """(n, n) min over the orderings holding both x and y of
+    d(x, root) + d(root, y); inf where no ordering holds both."""
+    n = mat.shape[0]
+    best = np.full((n, n), np.inf)
+    for o in fam.orderings:
+        members = np.asarray(o.perm, dtype=np.int64)
+        via = mat[members[:, None], o.root] + mat[o.root, members[None, :]]
+        cur = best[np.ix_(members, members)]
+        best[np.ix_(members, members)] = np.minimum(cur, via)
+    return best
+
+
 def verify_triangle(fam, metric):
     """For every pair: min over orderings of window diameter / distance."""
     if fam.kind != TRIANGLE:
@@ -189,8 +219,6 @@ def verify_triangle(fam, metric):
     n = metric.n
     _require_covering(fam, n)
     mat = metric.matrix()
-    rho = fam.rho
-    bound = rho * (1 + VERIFY_TOL)
     best = np.full((n, n), np.inf)
     for o in fam.orderings:
         perm = np.asarray(o.perm, dtype=np.int64)
@@ -200,16 +228,7 @@ def verify_triangle(fam, metric):
         pi = np.minimum(inv[:, None], inv[None, :])
         pj = np.maximum(inv[:, None], inv[None, :])
         best = np.minimum(best, D[pi, pj])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mat > 0, best / np.where(mat > 0, mat, 1.0), np.where(best > 0, np.inf, 0.0))
-    iu = np.triu_indices(n, k=1)
-    ratios = ratio[iu]
-    violations = [
-        (int(iu[0][t]), int(iu[1][t]), float(ratios[t]))
-        for t in np.nonzero(ratios > bound)[0]
-    ]
-    max_stretch = float(ratios.max()) if ratios.size else 0.0
-    return VerificationReport(TRIANGLE, rho, len(ratios), violations, max_stretch)
+    return _report_from_best(TRIANGLE, fam.rho, best, mat)
 
 
 def verify_rooted(fam, metric):
@@ -218,36 +237,21 @@ def verify_rooted(fam, metric):
         raise ValueError("verify_rooted expects a rooted family")
     n = metric.n
     mat = metric.matrix()
-    rho = fam.rho
-    bound = rho * (1 + VERIFY_TOL)
     for idx, o in enumerate(fam.orderings):
         if o.root is None:
             raise ValueError(f"ordering {idx} has no root")
         dists = mat[o.root][o.perm]
         if np.any(np.diff(dists) < 0):
             raise ValueError(f"ordering {idx} is not sorted by distance to root {o.root}")
+    best = via_root_weights(fam, mat)
     counts = np.zeros(n, dtype=np.int64)
-    best = np.full((n, n), np.inf)
     for o in fam.orderings:
-        members = np.asarray(o.perm, dtype=np.int64)
-        counts[members] += 1
-        via = mat[members[:, None], o.root] + mat[o.root, members[None, :]]
-        cur = best[np.ix_(members, members)]
-        best[np.ix_(members, members)] = np.minimum(cur, via)
+        counts[o.perm] += 1
     if fam.tau and counts.max(initial=0) > fam.tau:
         raise ValueError(
             f"per-point membership {int(counts.max())} exceeds declared tau {fam.tau}"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mat > 0, best / np.where(mat > 0, mat, 1.0), np.where(best > 0, np.inf, 0.0))
-    iu = np.triu_indices(n, k=1)
-    ratios = ratio[iu]
-    violations = [
-        (int(iu[0][t]), int(iu[1][t]), float(ratios[t]))
-        for t in np.nonzero(ratios > bound)[0]
-    ]
-    max_stretch = float(ratios.max()) if ratios.size else 0.0
-    return VerificationReport(ROOTED, rho, len(ratios), violations, max_stretch)
+    return _report_from_best(ROOTED, fam.rho, best, mat)
 
 
 def verify_family(fam, metric, hint=None):

@@ -29,7 +29,7 @@ from .metrics import (
     subtree_sizes,
     tree_centroid,
 )
-from .orderings import CLASSIC, ROOTED, TRIANGLE, build_rooted_lso_tree
+from .orderings import CLASSIC, ROOTED, TRIANGLE, build_rooted_lso_tree, via_root_weights
 
 
 class PathReportingSpanner:
@@ -71,9 +71,6 @@ class PathReportingSpanner:
     def num_edges(self):
         return len(self.edges)
 
-    def total_weight(self):
-        return float(sum(self.edges.values()))
-
     def check_path(self, path):
         for a, b in zip(path, path[1:]):
             if not self.has_edge(a, b):
@@ -87,7 +84,6 @@ class OrderingHopSpanner(PathReportingSpanner):
 
     def __init__(self, fam, metric, stretch):
         super().__init__(metric.n, stretch, 2)
-        self.fam = fam
         self.mat = metric.matrix()
         self.hop = TwoHopPathSpanner(metric.n)
         self.perms = [np.asarray(o.perm, dtype=np.int64) for o in fam.orderings]
@@ -176,13 +172,7 @@ class RootedHopSpanner(PathReportingSpanner):
         return best
 
     def all_pairs_weights(self):
-        n = self.n
-        best = np.full((n, n), np.inf)
-        for o in self.fam.orderings:
-            members = np.asarray(o.perm, dtype=np.int64)
-            via = self.mat[members[:, None], o.root] + self.mat[o.root, members[None, :]]
-            cur = best[np.ix_(members, members)]
-            best[np.ix_(members, members)] = np.minimum(cur, via)
+        best = via_root_weights(self.fam, self.mat)
         np.fill_diagonal(best, 0.0)
         return best
 
@@ -329,7 +319,6 @@ class SpdSpanner(PathReportingSpanner):
             raise ValueError("eps must be in (0,1)")
         spd.validate()
         self.eps = eps
-        self.spd = spd
         self.mat = graph_distances(g)
         self.adj = g.adjacency()
         self.levels = []  # per node: dict with landmarks and tree structures
@@ -455,7 +444,6 @@ class TzOracle:
     levels: list
     pivots: dict  # (i, v) -> (pivot, distance)
     bunches: dict  # v -> {w: distance}
-    k: int
 
 
 class TzSpanner(PathReportingSpanner):
@@ -463,7 +451,6 @@ class TzSpanner(PathReportingSpanner):
         super().__init__(metric.n, 2 * k - 1, 2)
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.k = k
         self.mat = metric.matrix()
         n = metric.n
         budget = 4.0 * k * n ** (1.0 + 1.0 / k)
@@ -502,7 +489,7 @@ class TzSpanner(PathReportingSpanner):
                     total += len(members)
                     d_next = pivots[(i, v)][1]
             if total <= budget:
-                oracle = TzOracle(levels=levels, pivots=pivots, bunches=bunches, k=k)
+                oracle = TzOracle(levels=levels, pivots=pivots, bunches=bunches)
                 self.attempts = attempt + 1
                 break
         if oracle is None:
@@ -787,13 +774,10 @@ def ft_spanner_from_family(fam, metric, f):
 class SpannerOracle:
     """Callable (terminals, L) -> weighted edge list, tracking weak sparsity."""
 
-    def __init__(self, fam, metric, stretch, builder):
-        self.fam = fam
-        self.mat = metric.matrix()
+    def __init__(self, stretch, builder):
         self.stretch = stretch
         self._builder = builder
         self.weak_sparsity = 0.0
-        self.invocations = 0
 
     def __call__(self, terminals, L):
         terminals = sorted(set(terminals))
@@ -801,7 +785,6 @@ class SpannerOracle:
             raise ValueError("L must be positive")
         edges = self._builder(terminals, L)
         weight = sum(w for _, _, w in edges)
-        self.invocations += 1
         if terminals:
             self.weak_sparsity = max(self.weak_sparsity, weight / (len(terminals) * L))
         return edges
@@ -827,7 +810,7 @@ def spanner_oracle_classic(fam, metric):
                     edges[key] = float(d)
         return [(a, b, w) for (a, b), w in edges.items()]
 
-    return SpannerOracle(fam, metric, 1 + 8 * fam.rho, builder)
+    return SpannerOracle(1 + 8 * fam.rho, builder)
 
 
 def spanner_oracle_triangle(fam, metric, hops=2):
@@ -866,7 +849,7 @@ def spanner_oracle_triangle(fam, metric, hops=2):
                     edges[key] = float(d)
         return [(a, b, w) for (a, b), w in edges.items()]
 
-    return SpannerOracle(fam, metric, hops * fam.rho, builder)
+    return SpannerOracle(hops * fam.rho, builder)
 
 
 def shortest_paths_on_edges(n, edges, sources):

@@ -216,13 +216,23 @@ def test_path_subcommand_with_faults(tmp_path):
     assert 4 not in path2
 
 
-def test_bench_smoke(tmp_path):
-    out = tmp_path / "bench.json"
-    proc = run_cli(["bench", "--n", str(1 << 20), "--out", str(out)])
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text())
-    assert doc["p50_us"] > 0
-    assert doc["p99_us"] >= doc["p50_us"]
+def test_unread_flags_and_bench_rejected(tmp_path, capsys):
+    rpath = tmp_path / "r.json"
+    fileio.write_report(rpath, fileio.make_report(structure="x", violations=[]))
+    for argv in (
+        ["report", "--input", str(rpath), "--t", "9"],
+        ["gen", "grid", "--f", "1"],
+        ["bench"],
+        ["build", "--n", "8"],
+        ["build", "--structure", "no-such-structure"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --t 9" in err
+    assert "invalid choice: 'bench'" in err
+    assert "the following arguments are required: --structure" in err
 
 
 def test_report_subcommand(tmp_path):

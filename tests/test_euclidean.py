@@ -41,14 +41,14 @@ def test_sample_lp_ball_inside():
 
 def test_xi_formula_paper_value():
     ps = PointSet(np.random.default_rng(1).uniform(size=(10, 9)))
-    scheme = sample_scheme(ps, p=2, t_internal=3.0, delta=0.5, shift=0, shift_count=1, seed=2)
+    scheme = sample_scheme(ps, p=2, t_internal=3.0, delta=0.5, shift=0, seed=2)
     assert scheme.xi == pytest.approx(12.0)  # 12*sqrt(9)/3
     assert scheme.gamma == 1  # ceil(9/9)
 
 
 def test_xi_formula_lp():
     ps = PointSet(np.random.default_rng(2).uniform(size=(8, 4)))
-    scheme = sample_scheme(ps, p=1.5, t_internal=2.0, delta=0.5, shift=0, shift_count=1, seed=3)
+    scheme = sample_scheme(ps, p=1.5, t_internal=2.0, delta=0.5, shift=0, seed=3)
     assert scheme.xi == pytest.approx(36.0 * 4 / 2.0)
     assert scheme.gamma == math.ceil(4 / 2.0**1.5)
 
@@ -56,7 +56,7 @@ def test_xi_formula_lp():
 def test_carve_scale_matches_stored_assignment():
     rng = np.random.default_rng(4)
     ps = PointSet(rng.uniform(size=(50, 2)))
-    scheme = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=0, shift_count=1, seed=5)
+    scheme = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=0, seed=5)
     for i in range(scheme.i_min, scheme.i_max + 1):
         clustering = carve_scale(ps, scheme, i)
         j, k = scheme.base_of(i)
@@ -69,7 +69,7 @@ def test_carve_scale_matches_stored_assignment():
 def test_carve_scale_ball_containment():
     rng = np.random.default_rng(6)
     ps = PointSet(rng.uniform(size=(50, 2)))
-    scheme = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=0, shift_count=1, seed=7)
+    scheme = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=0, seed=7)
     i = scheme.i_max
     j, k = scheme.base_of(i)
     clustering = carve_scale(ps, scheme, i)
@@ -89,7 +89,7 @@ def test_carve_scale_ball_containment():
 
 def test_two_points_far_apart_distinct_clusters():
     ps = PointSet([[0.0, 0.0], [5.0, 0.0]])
-    scheme = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=0, shift_count=1, seed=8)
+    scheme = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=0, seed=8)
     # at scales with 2*w_i < 5 the pair must split
     for i in range(scheme.i_min, scheme.i_max + 1):
         if 2 * scheme.width(i) < 5.0:
@@ -100,7 +100,7 @@ def test_two_points_far_apart_distinct_clusters():
 def test_scale_reuse_consistency():
     rng = np.random.default_rng(9)
     ps = PointSet(rng.uniform(size=(40, 4)))
-    scheme = sample_scheme(ps, p=2, t_internal=1.0, delta=0.5, shift=0, shift_count=1, seed=10)
+    scheme = sample_scheme(ps, p=2, t_internal=1.0, delta=0.5, shift=0, seed=10)
     assert scheme.gamma >= 2  # reuse must actually kick in: gamma = ceil(4/1)
     for i in range(scheme.i_min, scheme.i_max + 1):
         j, k = scheme.base_of(i)
@@ -124,7 +124,7 @@ def test_scale_reuse_consistency():
 
 def test_ordering_scale_range_two_points():
     ps = PointSet([[0.0], [1.0]])
-    scheme = sample_scheme(ps, p=2, t_internal=1.0, delta=0.5, shift=0, shift_count=1, seed=11)
+    scheme = sample_scheme(ps, p=2, t_internal=1.0, delta=0.5, shift=0, seed=11)
     i_min, i_max = ordering_scale_range(LpMetric(ps), scheme)
     assert 2 * scheme.width(i_min) < 1.0
     assert 2 * scheme.width(i_min + 1) >= 1.0
@@ -136,7 +136,7 @@ def test_ordering_scale_range_equivariance():
     rng = np.random.default_rng(12)
     pts = rng.uniform(size=(20, 2))
     ps1 = PointSet(pts)
-    scheme = sample_scheme(ps1, p=2, t_internal=1.4, delta=0.5, shift=0, shift_count=1, seed=13)
+    scheme = sample_scheme(ps1, p=2, t_internal=1.4, delta=0.5, shift=0, seed=13)
     ps2 = PointSet(pts * scheme.xi)
     r1 = ordering_scale_range(LpMetric(ps1), scheme)
     r2 = ordering_scale_range(LpMetric(ps2), scheme)
@@ -148,7 +148,7 @@ def test_ordering_scale_range_separation_and_enclosure():
     rng = np.random.default_rng(14)
     ps = PointSet(rng.uniform(size=(30, 3)))
     m = LpMetric(ps)
-    scheme = sample_scheme(ps, p=2, t_internal=1.7, delta=0.5, shift=0, shift_count=1, seed=15)
+    scheme = sample_scheme(ps, p=2, t_internal=1.7, delta=0.5, shift=0, seed=15)
     i_min, i_max = ordering_scale_range(m, scheme)
     mat = m.matrix()
     iu = np.triu_indices(30, k=1)
@@ -215,8 +215,8 @@ def test_sample_scheme_with_extent_matches_metric_scan():
     ps = PointSet(np.random.default_rng(31).uniform(size=(25, 3)))
     dists = LpMetric(ps).matrix()[np.triu_indices(25, 1)]
     extent = (float(dists.min()), float(dists.max()))
-    a = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=1, shift_count=3, seed=9)
-    b = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=1, shift_count=3, seed=9, extent=extent)
+    a = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=1, seed=9)
+    b = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=1, seed=9, extent=extent)
     assert (a.i_min, a.i_max) == (b.i_min, b.i_max)
     for key, (ordinals, lattice) in a.assignments.items():
         assert np.array_equal(ordinals, b.assignments[key][0])
@@ -355,9 +355,8 @@ def test_scheme_ordering_lexsort_matches_tuple_keys(d, gamma, seed):
     n = 60
     for _ in range(10):
         i_min = int(rng.integers(-4, 2))
-        scheme = BallCarvingScheme(dim=d, p=2, t_internal=2.0, delta=0.5, xi=6.0, gamma=gamma,
-                                   shift=0, shift_count=1, seed=0, i_min=i_min,
-                                   i_max=i_min + int(rng.integers(0, 6)))
+        scheme = BallCarvingScheme(dim=d, p=2, delta=0.5, xi=6.0, gamma=gamma, shift=0,
+                                   i_min=i_min, i_max=i_min + int(rng.integers(0, 6)))
         for i in range(scheme.i_min, scheme.i_max + 1):
             # few ordinals and lattice values: many tied keys, negative vectors
             scheme.assignments[scheme.base_of(i)] = (
@@ -417,7 +416,7 @@ def test_grid_ordering_lexsort_matches_tuple_keys(d, b, phase):
 
 def test_carve_scale_coverage_error_when_centers_missing():
     ps = PointSet(np.random.default_rng(23).uniform(size=(10, 2)))
-    scheme = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=0, shift_count=1, seed=24)
+    scheme = sample_scheme(ps, p=2, t_internal=1.4, delta=0.5, shift=0, seed=24)
     j, _ = scheme.base_of(scheme.i_max)
     scheme.centers[j] = scheme.centers[j][:0]
     with pytest.raises(CoverageError):

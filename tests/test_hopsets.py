@@ -251,6 +251,58 @@ def test_ft_batch_matches_scalar_all_pairs_at_budget(n, f, count):
             assert np.any((batch != ii) & (batch != unfaulted))
 
 
+def ft_descent_reference(ft, i, j, faults):
+    """The FT query as a halving descent, one segment at a time."""
+    if i > j:
+        i, j = j, i
+    if i == j:
+        return i
+    lo, hi = 1, ft.n_padded
+    while True:
+        size = hi - lo + 1
+        if size <= ft.clique_size:
+            return i  # direct clique edge {i, j}
+        mid = lo - 1 + size // 2
+        if j <= mid:
+            hi = mid
+        elif i > mid:
+            lo = mid + 1
+        else:
+            half = ft.f // 2
+            for l in range(max(lo, mid - half, i), min(hi, mid + half, j) + 1):
+                if l not in faults:
+                    return l
+            raise AssertionError("no surviving midpoint")
+
+
+@pytest.mark.parametrize("f", [0, 1, 2, 3, 4, 6])
+def test_ft_query_closed_form_matches_descent(f):
+    rng = np.random.default_rng(f)
+    for n in list(range(1, 40)) + [64, 100, 129]:
+        ft = FtTwoHopPathSpanner(n, f)
+        for _ in range(5):
+            size = min(ft.f, max(n - 2, 0))
+            faults = set(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
+            alive = [p for p in range(1, n + 1) if p not in faults]
+            for a, i in enumerate(alive):
+                for j in alive[a:]:
+                    assert ft.query(i, j, faults) == ft_descent_reference(ft, i, j, faults)
+
+
+def test_ft_f0_equals_two_hop():
+    for n in list(range(1, 70)) + [100, 128, 129, 255]:
+        ft, hop = FtTwoHopPathSpanner(n, 0), TwoHopPathSpanner(n)
+        plain = {(min(i, l), max(i, l)) for i in range(1, n + 1) for l in hop.edges_of(i) if l != i}
+        assert ft.edges == plain
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert ft.query(i, j) == hop.query(i, j)
+        if n > 1:
+            iu, iv = np.triu_indices(n, k=1)
+            no_faults = np.zeros(ft.n_padded + 2, dtype=bool)
+            assert ft.query_batch(iu + 1, iv + 1, no_faults).tolist() == hop.query_batch(iu + 1, iv + 1).tolist()
+
+
 def test_ft_rejects_oversized_fault_set():
     ft = FtTwoHopPathSpanner(16, 2)
     with pytest.raises(ValueError):

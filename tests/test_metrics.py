@@ -5,7 +5,6 @@ import pytest
 
 from lsorder import metrics
 from lsorder.metrics import (
-    EpsilonNet,
     LpMetric,
     MatrixMetric,
     PointSet,
@@ -169,14 +168,12 @@ def test_metric_axioms_sampled_triples():
 
 def test_epsilon_net_trivial():
     ps = PointSet([[0.0, 0.0]])
-    net = build_epsilon_net(ps, LpMetric(ps), r=1.0)
-    assert net.net == [0]
+    assert build_epsilon_net(LpMetric(ps), r=1.0) == [0]
 
 
 def test_epsilon_net_two_points_large_radius():
     ps = PointSet([[0.0], [1.0]])
-    net = build_epsilon_net(ps, LpMetric(ps), r=2.0)
-    assert len(net.net) == 1
+    assert len(build_epsilon_net(LpMetric(ps), r=2.0)) == 1
 
 
 def test_epsilon_net_invariants_full_scan():
@@ -184,9 +181,8 @@ def test_epsilon_net_invariants_full_scan():
     ps = PointSet(rng.uniform(size=(100, 2)))
     metric = LpMetric(ps)
     r = 0.3
-    net = build_epsilon_net(ps, metric, r)
+    members = build_epsilon_net(metric, r)
     mat = metric.matrix()
-    members = net.net
     for a_i, i in enumerate(members):
         for j in members[a_i + 1 :]:
             assert mat[i, j] >= r
@@ -202,7 +198,7 @@ def test_epsilon_net_equals_greedy_scan(r):
     for i in range(metric.n):
         if all(metric.dist(i, j) >= r for j in greedy):
             greedy.append(i)
-    assert build_epsilon_net(None, metric, r).net == greedy
+    assert build_epsilon_net(metric, r) == greedy
 
 
 def test_aspect_ratio_basic():

@@ -378,6 +378,43 @@ def test_ft_f0_matches_plain_rooted():
             assert wf == pytest.approx(wp)
 
 
+def assert_ft0_equals_pr(fam, metric, pr):
+    """At f = 0 the FT spanner is the PR spanner: edges, answers, weights."""
+    ft = ft_spanner_from_family(fam, metric, 0)
+    assert ft.edges == pr.edges
+    n = metric.n
+    for u in range(n):
+        for v in range(n):
+            (fp, fw), (pp, pw) = ft.query(u, v), pr.query(u, v)
+            assert fp == pp and float(fw).hex() == float(pw).hex()
+    alive, best = ft.residual_all_pairs_weights(())
+    assert alive.tolist() == list(range(n))
+    assert np.array_equal(best, pr.all_pairs_weights()[np.triu_indices(n, k=1)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 40, 96])
+def test_ft_f0_equals_pr_triangle(n):
+    ps = PointSet(np.random.default_rng(n).uniform(size=(n, 2)))
+    metric = LpMetric(ps)
+    fam = build_triangle_lso_verified(ps, p=2, t=4.0, delta=0.5, seed=n)
+    assert_ft0_equals_pr(fam, metric, pr_spanner_from_triangle(fam, metric))
+
+
+def test_ft_f0_equals_pr_classic():
+    ps = PointSet(np.random.default_rng(30).uniform(size=(30, 2)))
+    metric = LpMetric(ps)
+    fam = build_classic_grid_lso(ps, eps=0.25, seed=31).family
+    assert_ft0_equals_pr(fam, metric, pr_spanner_from_classic(fam, metric))
+
+
+@pytest.mark.parametrize("n", [2, 5, 60, 200])
+def test_ft_f0_equals_pr_rooted(n):
+    g = random_tree(n, n)
+    metric = shortest_path_metric(g)
+    fam = build_rooted_lso_tree(g)
+    assert_ft0_equals_pr(fam, metric, pr_spanner_from_rooted(fam, metric))
+
+
 def test_ft_rooted_star_hub_fault():
     g = WeightedGraph(6, [(0, i, 1.0) for i in range(1, 6)])
     metric = shortest_path_metric(g)
