@@ -133,9 +133,20 @@ def load_metric(args):
     return LpMetric(ps, args.p), None, ps
 
 
+def _require(value, flag, structure):
+    """Exit 2, as argparse does, when a flag the structure reads is missing."""
+    if value is None:
+        print(f"lsorder build: error: --structure {structure} needs {flag}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def cmd_build(args):
     t0 = time.time()
     structure = args.structure
+    if structure not in ("two-hop", "ft-two-hop"):
+        _require(args.input, "--input", structure)
+    if structure == "rooted-treewidth":
+        _require(args.td, "--td", structure)
     if structure == "two-hop":
         s = TwoHopPathSpanner(args.n)
         doc = {"structure": "two-hop", "n": s.n, "edges": s.num_edges()}
@@ -329,7 +340,7 @@ def make_parser():
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="verify an ordering family file")
-    v.add_argument("--input", help="dataset file (points or graph)")
+    v.add_argument("--input", required=True, help="dataset file (points or graph)")
     v.add_argument("--family", required=True)
     v.add_argument("--out", help="report path")
     v.add_argument("--p", type=float, default=2.0)
@@ -337,20 +348,20 @@ def make_parser():
     v.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("nns", help="drive NNS queries from stdin")
-    q.add_argument("--input", help="dataset file (points or graph)")
+    q.add_argument("--input", required=True, help="dataset file (points or graph)")
     q.add_argument("--family", required=True)
     q.add_argument("--p", type=float, default=2.0)
     q.set_defaults(func=cmd_nns)
 
     pth = sub.add_parser("path", help="drive path queries from stdin")
-    pth.add_argument("--input", help="dataset file (points or graph)")
+    pth.add_argument("--input", required=True, help="dataset file (points or graph)")
     pth.add_argument("--family", required=True)
     pth.add_argument("--f", type=int, default=0)
     pth.add_argument("--p", type=float, default=2.0)
     pth.set_defaults(func=cmd_path)
 
     r = sub.add_parser("report", help="summarize a report file")
-    r.add_argument("--input", help="report file")
+    r.add_argument("--input", required=True, help="report file")
     r.set_defaults(func=cmd_report)
     return ap
 

@@ -68,7 +68,6 @@ def _lp_norms(diff, p):
 class BallCarvingScheme:
     """Randomness backing one ordering: per-base-scale center lists."""
 
-    dim: int
     p: float
     delta: float
     xi: float
@@ -95,8 +94,6 @@ class BallCarvingScheme:
 
 @dataclass
 class ScaleClustering:
-    width: float
-    scale: int
     assignment: dict  # point id -> (center ordinal, lattice tuple)
 
 
@@ -147,7 +144,6 @@ def sample_scheme(ps, p, t_internal, delta, shift, seed, extent=None):
     xi = 12.0 * math.sqrt(d) / t_internal if p == 2 else 36.0 * d / t_internal
     gamma = max(1, math.ceil(d / t_internal**p))
     scheme = BallCarvingScheme(
-        dim=d,
         p=p,
         delta=delta,
         xi=xi,
@@ -279,7 +275,7 @@ def carve_scale(ps, scheme, i):
         if found is None:
             raise CoverageError(f"point {pid} uncovered at scale {i}")
         assignment[pid] = found
-    return ScaleClustering(width=scheme.width(i), scale=i, assignment=assignment)
+    return ScaleClustering(assignment=assignment)
 
 
 def _ordering_from_scheme(ps, scheme):
@@ -387,15 +383,8 @@ def build_triangle_lso_verified(ps, p, t, delta, seed=0, max_doublings=6):
 
 @dataclass
 class VolumeRatioEstimate:
-    dim: int
-    radius: float
-    separation: float
-    p: float
-    samples: int
     estimate: float
     stderr: float
-    hits_intersection: int
-    hits_union: int
 
 
 def estimate_volume_ratio(d, radius, separation, p=2, samples=1_000_000, seed=0):
@@ -410,9 +399,9 @@ def estimate_volume_ratio(d, radius, separation, p=2, samples=1_000_000, seed=0)
     if separation < 0:
         raise ValueError("separation must be nonnegative")
     if separation == 0:
-        return VolumeRatioEstimate(d, radius, 0.0, p, 0, 1.0, 0.0, 0, 0)
+        return VolumeRatioEstimate(1.0, 0.0)
     if separation >= 2 * radius:
-        return VolumeRatioEstimate(d, radius, separation, p, 0, 0.0, 0.0, 0, 0)
+        return VolumeRatioEstimate(0.0, 0.0)
     if samples < 10_000:
         raise ValueError("at least 10^4 samples required")
     rng = seeds.rng_for(seed, "volume-ratio", d, radius, separation, p)
@@ -437,7 +426,7 @@ def estimate_volume_ratio(d, radius, separation, p=2, samples=1_000_000, seed=0)
         union += int(np.sum(keep))
     est = inter / union if union else 0.0
     stderr = math.sqrt(est * (1 - est) / union) if union else 0.0
-    return VolumeRatioEstimate(d, radius, separation, p, samples, est, stderr, inter, union)
+    return VolumeRatioEstimate(est, stderr)
 
 
 # ---------------------------------------------------------------------------

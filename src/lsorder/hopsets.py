@@ -180,6 +180,10 @@ class FtTwoHopPathSpanner:
     def query_batch(self, i_arr, j_arr, fault_mask):
         """Vectorized query: i_arr < j_arr, fault_mask[pos] for pos in 1..n_padded.
 
+        A 1-D fault_mask is shared by every query row; a 2-D one holds one
+        mask row per query row (fault_mask[r, pos] for the pair i_arr[r],
+        j_arr[r]), so pairs under different fault sets share one call.
+
         Uses the closed form of the descent: the stopping segment of a pair is
         the lowest power-of-two segment >= clique size separating them.
         """
@@ -197,15 +201,20 @@ class FtTwoHopPathSpanner:
         lo_cand = np.maximum(np.maximum(mid - half, x + 1), (c << seg) + 1)
         hi_cand = np.minimum(np.minimum(mid + half, y + 1), (c + 1) << seg)
         out = np.where(clique, x + 1, lo_cand)
+        shared = fault_mask.ndim == 1
         # out-of-block entries fail cand <= hi_cand; min() keeps the index valid
-        missed = (lo_cand > hi_cand) | fault_mask[np.minimum(lo_cand, hi_cand)]
+        first = np.minimum(lo_cand, hi_cand)
+        missed = (lo_cand > hi_cand) | (
+            fault_mask[first] if shared else fault_mask[np.arange(first.size), first]
+        )
         todo = np.nonzero(~clique & missed)[0]  # rows whose lowest candidate fails
         for off in range(1, self.f + 1):
             if not todo.size:
                 break
             cand = lo_cand[todo] + off
             hi = hi_cand[todo]
-            ok = (cand <= hi) & ~fault_mask[np.minimum(cand, hi)]
+            at = np.minimum(cand, hi)
+            ok = (cand <= hi) & ~(fault_mask[at] if shared else fault_mask[todo, at])
             out[todo[ok]] = cand[ok]
             todo = todo[~ok]
         if todo.size:

@@ -3,12 +3,16 @@ oracles built from ordering families; plus the Thorup-Zwick and sparse-cover
 constructions for general metrics and the SPD/landmark spanner for graphs.
 
 Every spanner stores true metric edge weights and answers queries with an
-explicit path whose edges are present in the edge set.  The all-pairs checks
-used by tests run vectorized over orderings.
+explicit path whose edges are present in the edge set.  The two ordering
+spanners (plain and fault-tolerant, classic or triangle family) keep the
+family as an (m, n) stack of permutations plus the (m, n) table of each
+point's position in each ordering; a pair query is one vectorized midpoint
+step over all m orderings, and the all-pairs checks read the same table.
 """
 
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,16 +82,43 @@ class PathReportingSpanner:
         return True
 
 
+def stack_orderings(fam, n):
+    """(perms, table): the family's orderings as an (m, n) int64 array and
+    the (m, n) int64 table of 1-indexed positions, table[k, perms[k, i]] = i + 1."""
+    perms = np.asarray([o.perm for o in fam.orderings], dtype=np.int64).reshape(-1, n)
+    table = np.empty_like(perms)
+    table[np.arange(len(perms))[:, None], perms] = np.arange(1, n + 1)
+    return perms, table
+
+
+def lightest_two_hop(perms, mat, u, v, mids):
+    """Lightest u-z-v path over the orderings, z = perms[k, mids[k] - 1]: the
+    path (z dropped when it is an endpoint) and its weight.  Ties go to the
+    first ordering; the zero diagonal makes mat[u, z] + mat[z, v] the
+    one-edge weight when z is an endpoint."""
+    z = perms[np.arange(len(perms)), mids - 1]
+    w = mat[u, z] + mat[z, v]
+    best = int(np.argmin(w))
+    zb = int(z[best])
+    return [u] + ([zb] if zb not in (u, v) else []) + [v], float(w[best])
+
+
+def _check_ids(n, ids):
+    if any(not 0 <= x < n for x in ids):
+        raise ValueError(f"point ids {sorted(ids)} out of range 0..{n - 1}")
+
+
 class OrderingHopSpanner(PathReportingSpanner):
     """2-hop spanner from a classic or triangle family: one hop structure per
-    ordering, query scans every ordering and returns the lightest path."""
+    ordering; a query takes the midpoint of the pair's positions in every
+    ordering at once, through the position table, and returns the lightest
+    path."""
 
     def __init__(self, fam, metric, stretch):
         super().__init__(metric.n, stretch, 2)
         self.mat = metric.matrix()
         self.hop = TwoHopPathSpanner(metric.n)
-        self.perms = [np.asarray(o.perm, dtype=np.int64) for o in fam.orderings]
-        self.poss = [o.pos for o in fam.orderings]
+        self.perms, self.table = stack_orderings(fam, self.n)
         mids_of = [self.hop.edges_of(pos) for pos in range(1, self.n + 1)]
         pos0 = np.asarray([i for i, mids in enumerate(mids_of) for _ in mids], dtype=np.int64)
         mid0 = np.asarray([l - 1 for mids in mids_of for l in mids], dtype=np.int64)
@@ -96,27 +127,19 @@ class OrderingHopSpanner(PathReportingSpanner):
     def query(self, u, v):
         if u == v:
             return [u], 0.0
-        best = None
-        for perm, pos in zip(self.perms, self.poss):
-            pu, pv = pos[u] + 1, pos[v] + 1
-            l = self.hop.query(min(pu, pv), max(pu, pv))
-            z = int(perm[l - 1])
-            path = [u] + ([z] if z not in (u, v) else []) + [v]
-            w = sum(self.mat[a, b] for a, b in zip(path, path[1:]))
-            if best is None or w < best[1]:
-                best = (path, w)
-        return best
+        _check_ids(self.n, (u, v))
+        pu, pv = self.table[:, u], self.table[:, v]
+        mids = self.hop.query_batch(np.minimum(pu, pv), np.maximum(pu, pv))
+        return lightest_two_hop(self.perms, self.mat, u, v, mids)
 
     def all_pairs_weights(self):
         """Vectorized min-over-orderings 2-hop weights for every pair."""
         n = self.n
         iu = np.triu_indices(n, k=1)
         best = np.full(iu[0].shape, np.inf)
-        for perm, _ in zip(self.perms, self.poss):
-            inv = np.empty(n, dtype=np.int64)
-            inv[perm] = np.arange(1, n + 1)
-            pu = inv[iu[0]]
-            pv = inv[iu[1]]
+        for perm, pos in zip(self.perms, self.table):
+            pu = pos[iu[0]]
+            pv = pos[iu[1]]
             lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
             l = self.hop.query_batch(lo, hi)
             z = perm[l - 1]
@@ -663,8 +686,9 @@ def sparse_cover_spanner(metric, k, eps, estimator):
 
 
 class FtOrderingSpanner(PathReportingSpanner):
-    """Classic/triangle: per-ordering FT hop structures; rooted: edges from
-    the first f+1 points of each ordering."""
+    """Classic/triangle: per-ordering FT hop structures, queried over all
+    orderings at once through the position table and a per-ordering fault
+    mask; rooted: edges from the first f+1 points of each ordering."""
 
     def __init__(self, fam, metric, f):
         stretch = {
@@ -690,8 +714,10 @@ class FtOrderingSpanner(PathReportingSpanner):
         else:
             self.ft = FtTwoHopPathSpanner(metric.n, f)
             self.f = self.ft.f
-            self.perms = [np.asarray(o.perm, dtype=np.int64) for o in fam.orderings]
-            self.poss = [o.pos for o in fam.orderings]
+            self.perms, self.table = stack_orderings(fam, self.n)
+            # fault positions per ordering, set for one call and cleared after
+            # it, so one spanner answers one query at a time
+            self.fault_mask = np.zeros((len(self.perms), self.ft.n_padded + 2), dtype=bool)
             ends = np.asarray(list(self.ft.edges), dtype=np.int64).reshape(-1, 2) - 1
             self.add_ordering_edges(self.perms, ends[:, 0], ends[:, 1], self.mat)
 
@@ -703,8 +729,8 @@ class FtOrderingSpanner(PathReportingSpanner):
             raise ValueError("query endpoints must survive")
         if u == v:
             return [u], 0.0
-        best = None
         if self.kind == ROOTED:
+            best = None
             for k in self.membership.get(u, []):
                 o = self.fam.orderings[k]
                 if v not in o.pos:
@@ -719,16 +745,22 @@ class FtOrderingSpanner(PathReportingSpanner):
             if best is None:
                 raise LookupError(f"no surviving root serves ({u},{v})")
             return best
-        for perm, pos in zip(self.perms, self.poss):
-            fpos = {pos[x] + 1 for x in F}
-            pu, pv = pos[u] + 1, pos[v] + 1
-            l = self.ft.query(min(pu, pv), max(pu, pv), fpos)
-            z = int(perm[l - 1])
-            path = [u] + ([z] if z not in (u, v) else []) + [v]
-            w = sum(self.mat[a, b] for a, b in zip(path, path[1:]))
-            if best is None or w < best[1]:
-                best = (path, w)
-        return best
+        _check_ids(self.n, F | {u, v})
+        pu, pv = self.table[:, u], self.table[:, v]
+        with self._faulted(F):
+            mids = self.ft.query_batch(np.minimum(pu, pv), np.maximum(pu, pv), self.fault_mask)
+        return lightest_two_hop(self.perms, self.mat, u, v, mids)
+
+    @contextmanager
+    def _faulted(self, F):
+        """fault_mask holds the positions of F in every ordering, inside the block."""
+        rows = np.arange(len(self.perms))[:, None]
+        cols = self.table[:, list(F)]
+        self.fault_mask[rows, cols] = True
+        try:
+            yield
+        finally:
+            self.fault_mask[rows, cols] = False
 
     def residual_all_pairs_weights(self, faults):
         """Vectorized min-over-orderings weights among surviving pairs."""
@@ -748,18 +780,15 @@ class FtOrderingSpanner(PathReportingSpanner):
                 w = self.mat[a, z] + self.mat[z, b]
                 best = np.where(inside, np.minimum(best, w), best)
             return alive, best
-        for perm, pos in zip(self.perms, self.poss):
-            inv = np.empty(self.n, dtype=np.int64)
-            inv[perm] = np.arange(1, self.n + 1)
-            mask = np.zeros(self.n + 2, dtype=bool)
-            for x in F:
-                mask[pos[x] + 1] = True
-            pu, pv = inv[a], inv[b]
-            lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
-            l = self.ft.query_batch(lo, hi, mask)
-            z = perm[l - 1]
-            w = self.mat[a, z] + self.mat[z, b]
-            best = np.minimum(best, w)
+        _check_ids(self.n, F)
+        with self._faulted(F):
+            for perm, pos, mask in zip(self.perms, self.table, self.fault_mask):
+                pu, pv = pos[a], pos[b]
+                lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
+                l = self.ft.query_batch(lo, hi, mask)
+                z = perm[l - 1]
+                w = self.mat[a, z] + self.mat[z, b]
+                best = np.minimum(best, w)
         return alive, best
 
 
@@ -774,8 +803,7 @@ def ft_spanner_from_family(fam, metric, f):
 class SpannerOracle:
     """Callable (terminals, L) -> weighted edge list, tracking weak sparsity."""
 
-    def __init__(self, stretch, builder):
-        self.stretch = stretch
+    def __init__(self, builder):
         self._builder = builder
         self.weak_sparsity = 0.0
 
@@ -810,7 +838,7 @@ def spanner_oracle_classic(fam, metric):
                     edges[key] = float(d)
         return [(a, b, w) for (a, b), w in edges.items()]
 
-    return SpannerOracle(1 + 8 * fam.rho, builder)
+    return SpannerOracle(builder)
 
 
 def spanner_oracle_triangle(fam, metric, hops=2):
@@ -849,7 +877,7 @@ def spanner_oracle_triangle(fam, metric, hops=2):
                     edges[key] = float(d)
         return [(a, b, w) for (a, b), w in edges.items()]
 
-    return SpannerOracle(hops * fam.rho, builder)
+    return SpannerOracle(builder)
 
 
 def shortest_paths_on_edges(n, edges, sources):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from lsorder import fileio
-from lsorder.cli import load_metric, main, make_parser
+from lsorder.cli import STRUCTURES, load_metric, main, make_parser
 from lsorder.euclidean import build_triangle_lso_verified
 from lsorder.metrics import LpMetric, PointSet, WeightedGraph, shortest_path_metric
 from lsorder.nns import TriangleNns, assign_triangle_labels
 from lsorder.orderings import Ordering, OrderingFamily, build_rooted_lso_tree
+from lsorder.spanners import ft_spanner_from_family, pr_spanner_from_triangle
 
 
 def run_cli(argv, stdin=""):
@@ -233,6 +234,57 @@ def test_unread_flags_and_bench_rejected(tmp_path, capsys):
     assert "unrecognized arguments: --t 9" in err
     assert "invalid choice: 'bench'" in err
     assert "the following arguments are required: --structure" in err
+
+
+def test_missing_input_flags_exit_2(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    fileio.write_points(pts, PointSet([[0.0], [1.0], [3.0]]))
+    graph = tmp_path / "g.txt"
+    fileio.write_graph(graph, WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+    out = str(tmp_path / "out.json")
+    cases = [
+        (["verify", "--family", out], "the following arguments are required: --input"),
+        (["nns", "--family", out], "the following arguments are required: --input"),
+        (["path", "--family", out], "the following arguments are required: --input"),
+        (["report"], "the following arguments are required: --input"),
+        (["build", "--structure", "rooted-treewidth", "--input", str(graph), "--out", out],
+         "--structure rooted-treewidth needs --td"),
+    ] + [
+        (["build", "--structure", s, "--out", out], f"--structure {s} needs --input")
+        for s in STRUCTURES
+        if s not in ("two-hop", "ft-two-hop")
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
+def test_path_subcommand_triangle_faults_match_in_process(tmp_path):
+    rng = np.random.default_rng(12)
+    pts = tmp_path / "pts.txt"
+    fileio.write_points(pts, PointSet(rng.uniform(size=(24, 2))))
+    fpath = tmp_path / "fam.json"
+    fileio.write_family(
+        fpath, build_triangle_lso_verified(fileio.read_points(pts), p=2, t=4.0, delta=0.5, seed=3)
+    )
+    metric = LpMetric(fileio.read_points(pts))
+    fam = fileio.read_family(fpath)
+    sp = pr_spanner_from_triangle(fam, metric)
+    ft = ft_spanner_from_family(fam, metric, 2)
+    lines, answers = ["p 5 5"], [sp.query(5, 5)]
+    for _ in range(30):
+        u, v, a, b = (int(x) for x in rng.choice(24, size=4, replace=False))
+        lines += [f"p {u} {v}", f"p {u} {v} {a} {b}", f"p {v} {u} {a}"]
+        answers += [sp.query(u, v), ft.query(u, v, [a, b]), ft.query(v, u, [a])]
+    proc = run_cli(
+        ["path", "--input", str(pts), "--family", str(fpath), "--f", "2"],
+        stdin="\n".join(lines) + "\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [" ".join(str(x) for x in path) + f" | {float(w)!r}" for path, w in answers]
+    assert proc.stdout.splitlines() == expected
 
 
 def test_report_subcommand(tmp_path):

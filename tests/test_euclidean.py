@@ -355,7 +355,7 @@ def test_scheme_ordering_lexsort_matches_tuple_keys(d, gamma, seed):
     n = 60
     for _ in range(10):
         i_min = int(rng.integers(-4, 2))
-        scheme = BallCarvingScheme(dim=d, p=2, delta=0.5, xi=6.0, gamma=gamma, shift=0,
+        scheme = BallCarvingScheme(p=2, delta=0.5, xi=6.0, gamma=gamma, shift=0,
                                    i_min=i_min, i_max=i_min + int(rng.integers(0, 6)))
         for i in range(scheme.i_min, scheme.i_max + 1):
             # few ordinals and lattice values: many tied keys, negative vectors

@@ -216,6 +216,30 @@ def test_ft_batch_matches_scalar():
             assert int(l) == ft.query(i, j, faults)
 
 
+@pytest.mark.parametrize("n,f", [(40, 2), (100, 4), (512, 2)])
+def test_ft_batch_row_masks_match_shared_masks(n, f):
+    """A 2-D fault_mask (one row per query) answers each row as the 1-D
+    mask of that row does."""
+    ft = FtTwoHopPathSpanner(n, f)
+    rng = np.random.default_rng(n + f)
+    sets = block_center_fault_sets(ft, rng, 20) + [set(), {int(rng.integers(1, n + 1))}]
+    rows, ii, jj = [], [], []
+    for k, faults in enumerate(sets):
+        alive = [p for p in range(1, n + 1) if p not in faults]
+        for _ in range(30):
+            i, j = sorted(int(x) for x in rng.choice(alive, size=2, replace=False))
+            rows.append(k)
+            ii.append(i)
+            jj.append(j)
+    masks = np.zeros((len(sets), ft.n_padded + 2), dtype=bool)
+    for k, faults in enumerate(sets):
+        masks[k, sorted(faults)] = True
+    batch = ft.query_batch(np.array(ii), np.array(jj), masks[rows])
+    for t, (k, i, j) in enumerate(zip(rows, ii, jj)):
+        assert batch[t] == ft.query_batch(np.array([i]), np.array([j]), masks[k])[0]
+        assert batch[t] == ft.query(i, j, sets[k])
+
+
 def block_center_fault_sets(ft, rng, count):
     """Fault sets at the budget: the f lowest positions of the middle block
     of a random segment above clique size, so pairs split by that segment

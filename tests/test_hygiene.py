@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every CLI flag is read by its subcommand's handler."""
+"""Source hygiene: every name a package module imports is used in it, every
+CLI flag is read by its subcommand's handler, and every attribute a package
+class stores is read somewhere."""
 
 import argparse
 import ast
@@ -9,7 +10,8 @@ import pytest
 
 from lsorder.cli import make_parser
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lsorder"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lsorder"
 
 
 def unused_imports(source):
@@ -75,3 +77,190 @@ def test_args_reads_follows_helpers():
         "def other(args):\n    return args.unused\n"
     )
     assert args_reads(ast.parse(source), "cmd") == {"input", "p", "seed"}
+
+
+def _callee(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _is_dataclass(cls):
+    for d in cls.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+class AttributeReads:
+    """Attributes stored by the classes of `defining` (instance attributes
+    assigned through self, dataclass fields) that no load in `reading` reaches.
+
+    A load `x.a` reaches class C's attribute a when x is self inside C's
+    class family (C with its bases and subclasses), or when x is inferred to
+    hold a C-family instance, or when x cannot be inferred at all.  The
+    inference is flow-insensitive: a call to a class or to a function whose
+    every return is inferred, a local name through its assignments, and a
+    parameter through the arguments that typed call sites pass for it.
+    """
+
+    def __init__(self, defining, reading):
+        self.stores = {}  # class -> {attr: "file:line"}
+        bases = {}
+        for name, tree in defining.items():
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                stores = self.stores.setdefault(cls.name, {})
+                bases[cls.name] = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+                if _is_dataclass(cls):
+                    for st in cls.body:
+                        if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name):
+                            stores[st.target.id] = f"{name}:{st.lineno}"
+                for fn in cls.body:
+                    for node in ast.walk(fn) if isinstance(fn, ast.FunctionDef) else ():
+                        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                            stores.setdefault(node.attr, f"{name}:{node.lineno}")
+        self.family = {c: c for c in self.stores}
+        for c in self.stores:
+            for b in bases[c]:
+                if b in self.stores:
+                    self.family[self._root(c)] = self._root(b)
+        self.family = {c: self._root(c) for c in self.stores}
+        self.defs = {}  # name -> [(def, is_method)]
+        self.calls = {}  # callee name -> [(call, enclosing def)]
+        self.memo = {}
+        self.reading = reading
+        for tree in reading.values():
+            self._index(tree, None, False)
+
+    def _root(self, c):
+        while self.family[c] != c:
+            c = self.family[c]
+        return c
+
+    def _index(self, node, fn, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                self.defs.setdefault(child.name, []).append((child, in_class))
+                self._index(child, child, False)
+            elif isinstance(child, ast.ClassDef):
+                self._index(child, fn, True)
+            else:
+                if isinstance(child, ast.Call):
+                    self.calls.setdefault(_callee(child), []).append((child, fn))
+                self._index(child, fn, in_class)
+
+    def _cached(self, key, compute):
+        if key not in self.memo:
+            self.memo[key] = None  # recursion through key: unknown
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def _returns(self, fn):
+        rets = [n.value for n in ast.walk(fn) if isinstance(n, ast.Return) and n.value is not None]
+        types = [self.infer(r, fn) for r in rets]
+        return set().union(*types) if types and all(types) else None
+
+    def _param(self, fn, is_method, name):
+        params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        idx = params.index(name) - is_method
+        sites = self.calls.get(fn.name, [])
+        if fn.name == "__init__":
+            sites = [s for c in self.stores for s in self.calls.get(c, [])]
+        out = set()
+        for call, where in sites:
+            arg = next((k.value for k in call.keywords if k.arg == name), None)
+            if arg is None and 0 <= idx < len(call.args) and not any(
+                isinstance(a, ast.Starred) for a in call.args[: idx + 1]
+            ):
+                arg = call.args[idx]
+            if arg is not None:
+                out |= self.infer(arg, where) or set()
+        return out or None
+
+    def infer(self, expr, fn):
+        """The package classes expr may hold, or None when unknown."""
+        if isinstance(expr, ast.Call):
+            name = _callee(expr)
+            if name in self.stores:
+                return {name}
+            types = [self._cached(("ret", d), lambda d=d: self._returns(d)) for d, _ in self.defs.get(name, [])]
+            return set().union(*(t for t in types if t)) or None
+        if not isinstance(expr, ast.Name) or fn is None:
+            return None
+        out = set()
+        if expr.id in [a.arg for a in fn.args.posonlyargs + fn.args.args]:
+            is_method = any(d is fn and m for d, m in self.defs[fn.name])
+            out |= self._cached(("param", fn, expr.id),
+                                lambda: self._param(fn, is_method, expr.id)) or set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == expr.id for t in node.targets
+            ):
+                out |= self.infer(node.value, fn) or set()
+        return out or None
+
+    def unread(self):
+        owners = {}
+        for c, stores in self.stores.items():
+            for a in stores:
+                owners.setdefault(a, set()).add(self.family[c])
+        reached = set()
+        for tree in self.reading.values():
+            self._visit(tree, None, None, owners, reached)
+        return sorted(
+            f"{loc} {c}.{a}"
+            for c, stores in self.stores.items()
+            for a, loc in stores.items()
+            if (self.family[c], a) not in reached
+        )
+
+    def _visit(self, node, cls, fn, owners, reached):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                self._visit(child, child.name, fn, owners, reached)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                self._visit(child, cls, child, owners, reached)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load) and child.attr in owners:
+                recv = child.value
+                if isinstance(recv, ast.Name) and recv.id == "self" and cls in self.family:
+                    types = {cls}
+                else:
+                    types = self.infer(recv, fn)
+                fams = owners[child.attr]
+                if types:
+                    fams = fams & {self.family[t] for t in types}
+                reached |= {(f, child.attr) for f in fams}
+            self._visit(child, cls, fn, owners, reached)
+
+
+def test_no_write_only_attributes():
+    trees = {
+        p.relative_to(ROOT): ast.parse(p.read_text(encoding="utf-8"))
+        for d in (SRC, ROOT / "tests", ROOT / "perfbench")
+        for p in sorted(d.glob("*.py"))
+    }
+    defining = {path.name: tree for path, tree in trees.items() if path.parent == SRC.relative_to(ROOT)}
+    assert AttributeReads(defining, trees).unread() == []
+
+
+def test_attribute_reads_follow_types():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass Rec:\n    kept: int\n    dropped: int\n"
+        "class A:\n    def __init__(self, x):\n        self.x = x\n        self.y = x\n"
+        "class Sub(A):\n    def get(self):\n        return self.y\n"
+        "class B:\n    def __init__(self):\n        self.x = 1\n        self.z = 2\n"
+        "def make():\n    return A(1)\n"
+        "def use(a):\n    return a.x\n"
+        "def anything(obj):\n    return obj.z + Rec(1, 2).kept\n"
+        "use(make())\n"
+    )
+    tree = {"m.py": ast.parse(source)}
+    # A.x is read through a typed parameter, so B.x is not; A.y through the
+    # subclass; B.z through a receiver of unknown type
+    assert AttributeReads(tree, tree).unread() == ["m.py:15 B.x", "m.py:5 Rec.dropped"]

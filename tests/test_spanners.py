@@ -415,6 +415,153 @@ def test_ft_f0_equals_pr_rooted(n):
     assert_ft0_equals_pr(fam, metric, pr_spanner_from_rooted(fam, metric))
 
 
+# --- position-table queries against the per-ordering scalar loops ---------
+
+
+def reference_query(sp, hop, fam, u, v, faults=()):
+    """The per-ordering loop: midpoint of (pos u, pos v) in each ordering,
+    strict < keeping the first lightest path."""
+    if u == v:
+        return [u], 0.0
+    best = None
+    for o in fam.orderings:
+        pu, pv = o.pos[u] + 1, o.pos[v] + 1
+        if faults:
+            l = hop.query(min(pu, pv), max(pu, pv), {o.pos[x] + 1 for x in faults})
+        else:
+            l = hop.query(min(pu, pv), max(pu, pv))
+        z = o.perm[l - 1]
+        path = [u] + ([z] if z not in (u, v) else []) + [v]
+        w = sum(sp.mat[a, b] for a, b in zip(path, path[1:]))
+        if best is None or w < best[1]:
+            best = (path, w)
+    return best
+
+
+def same_answer(got, want):
+    return got[0] == want[0] and float(got[1]).hex() == float(want[1]).hex()
+
+
+def tie_family():
+    """Four collinear points, two orderings whose midpoints for (0, 3)
+    differ (1 and 2) at the same weight: only the first-min answer agrees
+    with the loop."""
+    ps = PointSet([[0.0], [1.0], [2.0], [3.0]])
+    orders = [Ordering([0, 1, 2, 3]), Ordering([0, 2, 1, 3])]
+    return LpMetric(ps), OrderingFamily("triangle", orders, rho=1.0), pr_spanner_from_triangle
+
+
+def triangle_case(n):
+    ps = PointSet(np.random.default_rng(n).uniform(size=(n, 2)))
+    fam = build_triangle_lso_verified(ps, p=2, t=4.0, delta=0.5, seed=n)
+    return LpMetric(ps), fam, pr_spanner_from_triangle
+
+
+def grid_case():
+    ps = PointSet(np.random.default_rng(30).uniform(size=(30, 2)))
+    return LpMetric(ps), build_classic_grid_lso(ps, eps=0.25, seed=31).family, pr_spanner_from_classic
+
+
+def cover_case():
+    metric = LpMetric(PointSet(np.random.default_rng(18).uniform(size=(60, 2))))
+    fam = cover_preorder_to_triangle_lso(build_ultrametric_cover(metric, t=8, seed=19))
+    return metric, fam, pr_spanner_from_triangle
+
+
+ORDERING_CASES = {
+    **{f"triangle-{n}": (lambda n=n: triangle_case(n)) for n in (1, 2, 3, 17, 40, 96)},
+    "grid": grid_case,
+    "cover": cover_case,
+    "ties": tie_family,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDERING_CASES))
+def test_pr_query_matches_per_ordering_loop(case):
+    metric, fam, make = ORDERING_CASES[case]()
+    sp = make(fam, metric)
+    n = metric.n
+    for u in range(n):
+        for v in range(n):
+            assert same_answer(sp.query(u, v), reference_query(sp, sp.hop, fam, u, v)), (u, v)
+
+
+def test_tie_goes_to_first_ordering():
+    metric, fam, make = tie_family()
+    assert make(fam, metric).query(0, 3) == ([0, 1, 3], 3.0)
+    assert ft_spanner_from_family(fam, metric, 0).query(0, 3) == ([0, 1, 3], 3.0)
+
+
+def ft_fault_sets(ft, fam, n, rng):
+    """Fault sets at the budget (random, and on the lowest block positions
+    of the top-level midpoint of some ordering), below it, and empty."""
+    f = min(ft.f, max(0, n - 2))
+    half = ft.f // 2
+    perm = fam.orderings[int(rng.integers(len(fam.orderings)))].perm
+    mid = ft.ft.n_padded // 2
+    top = [perm[pos - 1] for pos in range(mid - half, mid + half) if 1 <= pos <= n][:f]
+    return [
+        set(int(x) for x in rng.choice(n, size=f, replace=False)),
+        set(top),
+        set(int(x) for x in rng.choice(n, size=max(0, f - 1), replace=False)),
+        set(),
+    ]
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(ORDERING_CASES))
+def test_ft_query_matches_per_ordering_loop(case, f):
+    metric, fam, _ = ORDERING_CASES[case]()
+    ft = ft_spanner_from_family(fam, metric, f)
+    n = metric.n
+    rng = np.random.default_rng(n + f)
+    for faults in ft_fault_sets(ft, fam, n, rng):
+        alive = [p for p in range(n) if p not in faults]
+        pairs = [(u, v) for u in alive for v in alive]
+        if len(pairs) > 400:
+            pairs = [pairs[i] for i in rng.choice(len(pairs), size=400, replace=False)]
+        for u, v in pairs:
+            want = reference_query(ft, ft.ft, fam, u, v, faults)
+            assert same_answer(ft.query(u, v, faults), want), (u, v, faults)
+            assert not ft.fault_mask.any()
+        kept, best = ft.residual_all_pairs_weights(faults)
+        assert not ft.fault_mask.any()
+        iu, iv = np.triu_indices(kept.size, k=1)
+        for t in rng.choice(iu.size, size=min(iu.size, 200), replace=False):
+            u, v = int(kept[iu[t]]), int(kept[iv[t]])
+            assert best[t] == reference_query(ft, ft.ft, fam, u, v, faults)[1]
+
+
+def test_query_errors_leave_the_mask_clean(monkeypatch):
+    metric, fam, make = triangle_case(17)
+    sp = make(fam, metric)
+    ft = ft_spanner_from_family(fam, metric, 2)
+    for u, v in ((0, 17), (-1, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            sp.query(u, v)
+        with pytest.raises(ValueError, match="out of range"):
+            ft.query(u, v)
+    with pytest.raises(ValueError, match="exceeds budget"):
+        ft.query(0, 1, {2, 3, 4})
+    with pytest.raises(ValueError, match="endpoints must survive"):
+        ft.query(0, 1, {1})
+    for faults in ({17}, {-2}):
+        with pytest.raises(ValueError, match="out of range"):
+            ft.query(0, 1, faults)
+        with pytest.raises(ValueError, match="out of range"):
+            ft.residual_all_pairs_weights(faults)
+    assert not ft.fault_mask.any()
+
+    def broken(*args):
+        raise RuntimeError("query_batch failed")
+
+    monkeypatch.setattr(ft.ft, "query_batch", broken)
+    for call in (lambda: ft.query(0, 1, {2, 3}), lambda: ft.residual_all_pairs_weights({2, 3})):
+        with pytest.raises(RuntimeError):
+            call()
+        assert not ft.fault_mask.any()
+
+
 def test_ft_rooted_star_hub_fault():
     g = WeightedGraph(6, [(0, i, 1.0) for i in range(1, 6)])
     metric = shortest_path_metric(g)
