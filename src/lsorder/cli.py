@@ -321,13 +321,13 @@ def make_parser():
     g.add_argument("--n", type=int, default=16)
     g.add_argument("--d", type=int, default=2)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", help="output path")
+    g.add_argument("--out", required=True, help="output path")
     g.set_defaults(func=cmd_gen)
 
     b = sub.add_parser("build", help="build a structure")
     b.add_argument("--structure", required=True, choices=STRUCTURES)
     b.add_argument("--input", help="dataset file (points or graph)")
-    b.add_argument("--out", help="output path")
+    b.add_argument("--out", required=True, help="output path")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--n", type=int, default=16)
     b.add_argument("--f", type=int, default=0)

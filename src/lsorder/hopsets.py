@@ -177,12 +177,13 @@ class FtTwoHopPathSpanner:
                 return l
         raise AssertionError("no surviving midpoint; impossible for |F| <= f")
 
-    def query_batch(self, i_arr, j_arr, fault_mask):
+    def query_batch(self, i_arr, j_arr, fault_mask, rows=None):
         """Vectorized query: i_arr < j_arr, fault_mask[pos] for pos in 1..n_padded.
 
-        A 1-D fault_mask is shared by every query row; a 2-D one holds one
-        mask row per query row (fault_mask[r, pos] for the pair i_arr[r],
-        j_arr[r]), so pairs under different fault sets share one call.
+        A 1-D fault_mask is shared by every query row.  With a 2-D one, the
+        pair i_arr[r], j_arr[r] reads mask row rows[r] (fault_mask[rows[r],
+        pos]; rows defaults to 0, 1, 2, ...), so pairs under different fault
+        sets share one call without copying mask rows.
 
         Uses the closed form of the descent: the stopping segment of a pair is
         the lowest power-of-two segment >= clique size separating them.
@@ -202,11 +203,11 @@ class FtTwoHopPathSpanner:
         hi_cand = np.minimum(np.minimum(mid + half, y + 1), (c + 1) << seg)
         out = np.where(clique, x + 1, lo_cand)
         shared = fault_mask.ndim == 1
+        if not shared and rows is None:
+            rows = np.arange(x.size)
         # out-of-block entries fail cand <= hi_cand; min() keeps the index valid
         first = np.minimum(lo_cand, hi_cand)
-        missed = (lo_cand > hi_cand) | (
-            fault_mask[first] if shared else fault_mask[np.arange(first.size), first]
-        )
+        missed = (lo_cand > hi_cand) | (fault_mask[first] if shared else fault_mask[rows, first])
         todo = np.nonzero(~clique & missed)[0]  # rows whose lowest candidate fails
         for off in range(1, self.f + 1):
             if not todo.size:
@@ -214,7 +215,7 @@ class FtTwoHopPathSpanner:
             cand = lo_cand[todo] + off
             hi = hi_cand[todo]
             at = np.minimum(cand, hi)
-            ok = (cand <= hi) & ~(fault_mask[at] if shared else fault_mask[todo, at])
+            ok = (cand <= hi) & ~(fault_mask[at] if shared else fault_mask[rows[todo], at])
             out[todo[ok]] = cand[ok]
             todo = todo[~ok]
         if todo.size:

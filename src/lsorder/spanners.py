@@ -7,13 +7,19 @@ explicit path whose edges are present in the edge set.  The two ordering
 spanners (plain and fault-tolerant, classic or triangle family) keep the
 family as an (m, n) stack of permutations plus the (m, n) table of each
 point's position in each ordering; a pair query is one vectorized midpoint
-step over all m orderings, and the all-pairs checks read the same table.
+step over all m orderings, and the all-pairs checks read the same table
+(two_hop_rows, one ordering at a time).  The FT residual check keeps, from
+its first call on, a fault-free candidate table of every pair's midpoint in
+every ordering (4*m*P + 16*P bytes over the P = n(n-1)/2 pairs; a
+ValueError above TABLE_CAP_BYTES), and a call recomputes only the rows
+whose midpoint is a fault.
 """
 
 import math
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -91,6 +97,16 @@ def stack_orderings(fam, n):
     return perms, table
 
 
+def two_hop_rows(perms, table, mat, a, b, midpoint):
+    """Per ordering k, for the pairs (a[r], b[r]) of distinct points: z, the
+    point at midpoint(lo, hi) of their positions lo < hi in ordering k, and
+    the 2-hop weight mat[a, z] + mat[z, b]; one ordering's arrays at a time."""
+    for perm, pos in zip(perms, table):
+        pu, pv = pos[a], pos[b]
+        z = perm[midpoint(np.minimum(pu, pv), np.maximum(pu, pv)) - 1]
+        yield z, mat[a, z] + mat[z, b]
+
+
 def lightest_two_hop(perms, mat, u, v, mids):
     """Lightest u-z-v path over the orderings, z = perms[k, mids[k] - 1]: the
     path (z dropped when it is an endpoint) and its weight.  Ties go to the
@@ -137,14 +153,8 @@ class OrderingHopSpanner(PathReportingSpanner):
         n = self.n
         iu = np.triu_indices(n, k=1)
         best = np.full(iu[0].shape, np.inf)
-        for perm, pos in zip(self.perms, self.table):
-            pu = pos[iu[0]]
-            pv = pos[iu[1]]
-            lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
-            l = self.hop.query_batch(lo, hi)
-            z = perm[l - 1]
-            w = self.mat[iu[0], z] + self.mat[z, iu[1]]
-            best = np.minimum(best, w)
+        for _, w in two_hop_rows(self.perms, self.table, self.mat, *iu, self.hop.query_batch):
+            np.minimum(best, w, out=best)
         out = np.zeros((n, n))
         out[iu] = best
         return out + out.T
@@ -684,6 +694,12 @@ def sparse_cover_spanner(metric, k, eps, estimator):
 # ---------------------------------------------------------------------------
 # fault-tolerant spanners from families
 
+# FtOrderingSpanner.residual_all_pairs_weights: the largest fault-free
+# candidate table it builds, and the hit rows it recomputes per query_batch
+# call (each row holds about 200 bytes of temporaries there)
+TABLE_CAP_BYTES = 1 << 30
+RECOMPUTE_ROWS = 1 << 11
+
 
 class FtOrderingSpanner(PathReportingSpanner):
     """Classic/triangle: per-ordering FT hop structures, queried over all
@@ -720,6 +736,7 @@ class FtOrderingSpanner(PathReportingSpanner):
             self.fault_mask = np.zeros((len(self.perms), self.ft.n_padded + 2), dtype=bool)
             ends = np.asarray(list(self.ft.edges), dtype=np.int64).reshape(-1, 2) - 1
             self.add_ordering_edges(self.perms, ends[:, 0], ends[:, 1], self.mat)
+            self.candidates = None  # residual_all_pairs_weights builds it
 
     def query(self, u, v, faults=()):
         F = set(faults)
@@ -763,13 +780,26 @@ class FtOrderingSpanner(PathReportingSpanner):
             self.fault_mask[rows, cols] = False
 
     def residual_all_pairs_weights(self, faults):
-        """Vectorized min-over-orderings weights among surviving pairs."""
+        """(alive, best): the surviving points and, over their pairs in
+        np.triu_indices order, the min-over-orderings 2-hop weight under the
+        faults F.
+
+        Classic/triangle: the first call builds the fault-free candidate
+        table (_candidate_table: every pair's midpoint in every ordering, its
+        min weight and the first ordering attaining it; 4*m*P + 16*P bytes
+        for P = n(n-1)/2 pairs, ValueError above TABLE_CAP_BYTES).  A call
+        recomputes only the (ordering, pair) rows whose fault-free midpoint
+        is in F, since every other row keeps its midpoint; their count is
+        left in last_recomputed.  The min of the same float sums is exact,
+        so the weights equal a full recomputation bit for bit."""
         F = set(faults)
+        if len(F) > self.f:
+            raise ValueError(f"fault set exceeds budget {self.f}")
         alive = np.asarray([p for p in range(self.n) if p not in F], dtype=np.int64)
-        iu, iv = np.triu_indices(alive.size, k=1)
-        a, b = alive[iu], alive[iv]
-        best = np.full(a.shape, np.inf)
         if self.kind == ROOTED:
+            iu, iv = np.triu_indices(alive.size, k=1)
+            a, b = alive[iu], alive[iv]
+            best = np.full(a.shape, np.inf)
             for o in self.fam.orderings:
                 member_mask = np.zeros(self.n, dtype=bool)
                 member_mask[o.perm] = True
@@ -781,15 +811,64 @@ class FtOrderingSpanner(PathReportingSpanner):
                 best = np.where(inside, np.minimum(best, w), best)
             return alive, best
         _check_ids(self.n, F)
+        Z, best0, arg0 = self._candidate_table()
+        a, b = np.triu_indices(self.n, k=1)
+        dead = np.zeros(self.n, dtype=bool)
+        dead[list(F)] = True
+        keep = ~(dead[a] | dead[b])
+        # hit rows: (ordering, surviving pair) whose midpoint is a fault
+        hit = np.zeros(Z.shape, dtype=bool)
+        for x in F:
+            hit |= Z == x
+        ks, ps = np.divmod(np.flatnonzero(hit), Z.shape[1])
+        ks, ps = ks[keep[ps]], ps[keep[ps]]
+        self.last_recomputed = int(ks.size)
+        best = best0.copy()
+        if ks.size:
+            # pairs whose fault-free best row was hit: min over the rows left
+            lost = ps[ks == arg0[ps]]
+            zl = Z[:, lost]
+            wl = self.mat[a[lost], zl]
+            wl += self.mat[zl, b[lost]]
+            wl[dead[zl]] = np.inf
+            best[lost] = wl.min(axis=0)
         with self._faulted(F):
-            for perm, pos, mask in zip(self.perms, self.table, self.fault_mask):
-                pu, pv = pos[a], pos[b]
-                lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
-                l = self.ft.query_batch(lo, hi, mask)
-                z = perm[l - 1]
-                w = self.mat[a, z] + self.mat[z, b]
-                best = np.minimum(best, w)
-        return alive, best
+            for s in range(0, ks.size, RECOMPUTE_ROWS):
+                k, p = ks[s : s + RECOMPUTE_ROWS], ps[s : s + RECOMPUTE_ROWS]
+                pa, pb = a[p], b[p]
+                pu, pv = self.table[k, pa], self.table[k, pb]
+                l = self.ft.query_batch(np.minimum(pu, pv), np.maximum(pu, pv), self.fault_mask, k)
+                z = self.perms[k, l - 1]
+                np.minimum.at(best, p, self.mat[pa, z] + self.mat[z, pb])
+        return alive, best[keep]
+
+    def _candidate_table(self):
+        """The fault-free candidate table over the pairs np.triu_indices(n, 1),
+        built on first use: Z, the (m, P) int32 midpoint point ids; best0,
+        each pair's min weight over the orderings; arg0, the first ordering
+        attaining it."""
+        if self.candidates is None:
+            m, n = self.perms.shape
+            P = n * (n - 1) // 2
+            need = 4 * m * P + 16 * P
+            if need > TABLE_CAP_BYTES:
+                raise ValueError(
+                    f"FT candidate table for n={n}, tau={m} needs {need} bytes, "
+                    f"over the {TABLE_CAP_BYTES}-byte cap"
+                )
+            a, b = np.triu_indices(n, k=1)
+            Z = np.empty((m, P), dtype=np.int32)
+            best0 = np.full(P, np.inf)
+            arg0 = np.zeros(P, dtype=np.int64)
+            no_faults = np.zeros(self.ft.n_padded + 2, dtype=bool)
+            fault_free = partial(self.ft.query_batch, fault_mask=no_faults)
+            for k, (z, w) in enumerate(two_hop_rows(self.perms, self.table, self.mat, a, b, fault_free)):
+                Z[k] = z
+                better = w < best0
+                best0[better] = w[better]
+                arg0[better] = k
+            self.candidates = Z, best0, arg0
+        return self.candidates
 
 
 def ft_spanner_from_family(fam, metric, f):

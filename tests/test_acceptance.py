@@ -438,6 +438,16 @@ def test_criterion_10_sparse_cover_spanner():
 
 
 def test_criterion_11_ft_meta_spanners():
+    """The residual bound 2*rho holds under 500 random fault sets at the
+    budget, and the attacks do move midpoints (recomputed rows > 0).
+
+    The n=200 instance cannot fail a broken family.  A family of 99
+    random permutations at the same rho also passes all 500 attacks: the
+    max residual ratio was 1.40 to 5.27 against the bound 16 over four
+    permutation seeds.  At this size tau FT orderings give nearly every
+    pair a direct edge (19,881 of the 19,900 pairs for the verified family,
+    all of them for the random ones).  The instance is kept as it is; a
+    discriminating one is still open."""
     start = time.time()
     rng = np.random.default_rng(31)
     ps = PointSet(rng.uniform(size=(200, 2)))
@@ -448,12 +458,15 @@ def test_criterion_11_ft_meta_spanners():
     ft = ft_spanner_from_family(fam, metric, f)
     mat = metric.matrix()
     bound = 2 * fam.rho
+    recomputed = 0
     for attack in range(500):
         faults = set(rng.choice(200, size=f, replace=False).tolist())
         alive, weights = ft.residual_all_pairs_weights(faults)
+        recomputed += ft.last_recomputed
         iu, iv = np.triu_indices(alive.size, k=1)
         d = mat[alive[iu], alive[iv]]
         assert np.all(weights <= bound * d * (1 + 1e-9))
+    assert recomputed > 0
     # rooted star: first f+1 points rule is exact
     g = WeightedGraph(8, [(0, i, 1.0) for i in range(1, 8)])
     smetric = shortest_path_metric(g)

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +18,15 @@ from lsorder.spanners import ft_spanner_from_family, pr_spanner_from_triangle
 
 
 def run_cli(argv, stdin=""):
+    """The CLI in a child process that imports the lsorder these tests import."""
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "lsorder.cli"] + argv,
         input=stdin,
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 
@@ -222,7 +228,7 @@ def test_unread_flags_and_bench_rejected(tmp_path, capsys):
     fileio.write_report(rpath, fileio.make_report(structure="x", violations=[]))
     for argv in (
         ["report", "--input", str(rpath), "--t", "9"],
-        ["gen", "grid", "--f", "1"],
+        ["gen", "grid", "--f", "1", "--out", str(tmp_path / "g.txt")],
         ["bench"],
         ["build", "--n", "8"],
         ["build", "--structure", "no-such-structure"],
@@ -232,6 +238,7 @@ def test_unread_flags_and_bench_rejected(tmp_path, capsys):
         assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments: --t 9" in err
+    assert "unrecognized arguments: --f 1" in err
     assert "invalid choice: 'bench'" in err
     assert "the following arguments are required: --structure" in err
 
@@ -247,6 +254,9 @@ def test_missing_input_flags_exit_2(tmp_path, capsys):
         (["nns", "--family", out], "the following arguments are required: --input"),
         (["path", "--family", out], "the following arguments are required: --input"),
         (["report"], "the following arguments are required: --input"),
+        (["gen", "grid", "--n", "4"], "the following arguments are required: --out"),
+        (["build", "--structure", "two-hop", "--n", "4"],
+         "the following arguments are required: --out"),
         (["build", "--structure", "rooted-treewidth", "--input", str(graph), "--out", out],
          "--structure rooted-treewidth needs --td"),
     ] + [

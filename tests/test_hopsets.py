@@ -235,6 +235,7 @@ def test_ft_batch_row_masks_match_shared_masks(n, f):
     for k, faults in enumerate(sets):
         masks[k, sorted(faults)] = True
     batch = ft.query_batch(np.array(ii), np.array(jj), masks[rows])
+    assert batch.tolist() == ft.query_batch(np.array(ii), np.array(jj), masks, np.array(rows)).tolist()
     for t, (k, i, j) in enumerate(zip(rows, ii, jj)):
         assert batch[t] == ft.query_batch(np.array([i]), np.array([j]), masks[k])[0]
         assert batch[t] == ft.query(i, j, sets[k])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lsorder import spanners
 from lsorder.doubling import build_ultrametric_cover, cover_preorder_to_triangle_lso
 from lsorder.euclidean import build_classic_grid_lso, build_triangle_lso_verified
 from lsorder.metrics import (
@@ -532,6 +533,67 @@ def test_ft_query_matches_per_ordering_loop(case, f):
             assert best[t] == reference_query(ft, ft.ft, fam, u, v, faults)[1]
 
 
+def reference_residual(ft, faults):
+    """The per-ordering streaming loop: every ordering's faulted midpoints
+    for every surviving pair, min of the 2-hop weights.  Also counts the
+    (ordering, surviving pair) rows whose fault-free midpoint is in F."""
+    F = set(faults)
+    alive = np.asarray([p for p in range(ft.n) if p not in F], dtype=np.int64)
+    iu, iv = np.triu_indices(alive.size, k=1)
+    a, b = alive[iu], alive[iv]
+    best = np.full(a.shape, np.inf)
+    hits = 0
+    for perm, pos in zip(ft.perms, ft.table):
+        mask = np.zeros(ft.ft.n_padded + 2, dtype=bool)
+        pu, pv = pos[a], pos[b]
+        lo, hi = np.minimum(pu, pv), np.maximum(pu, pv)
+        hits += int(np.isin(perm[ft.ft.query_batch(lo, hi, mask) - 1], list(F)).sum())
+        mask[pos[list(F)]] = True
+        z = perm[ft.ft.query_batch(lo, hi, mask) - 1]
+        best = np.minimum(best, ft.mat[a, z] + ft.mat[z, b])
+    return alive, best, hits
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(ORDERING_CASES))
+def test_ft_residual_matches_per_ordering_loop(case, f, monkeypatch):
+    """Several calls on one spanner (the candidate table is built once and
+    reused), recomputing hit rows in one chunk and in chunks of 5:
+    bitwise-equal weights, the hit-row count, a clean mask."""
+    metric, fam, _ = ORDERING_CASES[case]()
+    ft = ft_spanner_from_family(fam, metric, f)
+    n = metric.n
+    rng = np.random.default_rng(10 * n + f)
+    table = None
+    for chunk in (spanners.RECOMPUTE_ROWS, 5):
+        monkeypatch.setattr(spanners, "RECOMPUTE_ROWS", chunk)
+        for faults in ft_fault_sets(ft, fam, n, rng):
+            alive, best = ft.residual_all_pairs_weights(faults)
+            want_alive, want_best, hits = reference_residual(ft, faults)
+            assert alive.tolist() == want_alive.tolist()
+            assert best.tobytes() == want_best.tobytes(), faults
+            assert ft.last_recomputed == hits
+            assert not ft.fault_mask.any()
+            if table is None:
+                table = ft.candidates
+            assert ft.candidates is table
+    ft.residual_all_pairs_weights(())
+    assert ft.last_recomputed == 0
+
+
+def test_ft_residual_table_cap(monkeypatch):
+    metric, fam, _ = triangle_case(17)
+    ft = ft_spanner_from_family(fam, metric, 2)
+    m = len(fam.orderings)
+    need = 4 * m * 136 + 16 * 136
+    monkeypatch.setattr(spanners, "TABLE_CAP_BYTES", need - 1)
+    with pytest.raises(ValueError, match=f"n=17, tau={m} needs {need} bytes"):
+        ft.residual_all_pairs_weights({2})
+    assert ft.candidates is None and not ft.fault_mask.any()
+    monkeypatch.setattr(spanners, "TABLE_CAP_BYTES", need)
+    assert ft.residual_all_pairs_weights({2})[1].tobytes() == reference_residual(ft, {2})[1].tobytes()
+
+
 def test_query_errors_leave_the_mask_clean(monkeypatch):
     metric, fam, make = triangle_case(17)
     sp = make(fam, metric)
@@ -543,6 +605,12 @@ def test_query_errors_leave_the_mask_clean(monkeypatch):
             ft.query(u, v)
     with pytest.raises(ValueError, match="exceeds budget"):
         ft.query(0, 1, {2, 3, 4})
+    with pytest.raises(ValueError, match="exceeds budget 2"):
+        ft.residual_all_pairs_weights({2, 3, 4, 5})
+    g = random_tree(12, 3)
+    rooted = ft_spanner_from_family(build_rooted_lso_tree(g), shortest_path_metric(g), 1)
+    with pytest.raises(ValueError, match="exceeds budget 1"):
+        rooted.residual_all_pairs_weights({0, 1})
     with pytest.raises(ValueError, match="endpoints must survive"):
         ft.query(0, 1, {1})
     for faults in ({17}, {-2}):
@@ -552,7 +620,9 @@ def test_query_errors_leave_the_mask_clean(monkeypatch):
             ft.residual_all_pairs_weights(faults)
     assert not ft.fault_mask.any()
 
-    def broken(*args):
+    ft.residual_all_pairs_weights(())  # build the table: the failure below is in the recompute
+
+    def broken(*args, **kwargs):
         raise RuntimeError("query_batch failed")
 
     monkeypatch.setattr(ft.ft, "query_batch", broken)
