@@ -93,9 +93,16 @@ class VerificationReport:
         )
 
 
-def _require_covering(fam, n):
+def _require_point_ids(fam, n):
+    """Raise unless every ordering holds only point ids 0..n-1 and, in a
+    classic or triangle family, all n of them (ids are distinct by
+    construction)."""
+    covering = fam.kind != ROOTED
     for idx, o in enumerate(fam.orderings):
-        if len(o.perm) != n:
+        if o.perm and (min(o.perm) < 0 or max(o.perm) >= n):
+            bad = next(p for p in o.perm if not 0 <= p < n)
+            raise ValueError(f"ordering {idx} holds point id {bad}, outside 0..{n - 1}")
+        if covering and len(o.perm) != n:
             raise ValueError(
                 f"ordering {idx} covers {len(o.perm)} of {n} points; "
                 f"{fam.kind} orderings must cover all points"
@@ -125,7 +132,7 @@ def verify_classic(fam, metric, hint=None):
     if fam.kind != CLASSIC:
         raise ValueError("verify_classic expects a classic family")
     n = metric.n
-    _require_covering(fam, n)
+    _require_point_ids(fam, n)
     mat = metric.matrix()
     rho = fam.rho
     bound = rho * (1 + VERIFY_TOL)
@@ -170,15 +177,16 @@ def verify_classic(fam, metric, hint=None):
 
 
 def window_diameter_table(perm, mat):
-    """D[i, j] = max pairwise distance among positions i..j of perm,
-    via the interval recurrence D(i,j) = max(D(i+1,j), D(i,j-1), d(i,j))."""
-    m = len(perm)
-    sub = mat[np.ix_(perm, perm)]
-    D = np.zeros((m, m))
-    for span in range(1, m):
-        i = np.arange(0, m - span)
-        j = i + span
-        D[i, j] = np.maximum(np.maximum(D[i + 1, j], D[i, j - 1]), sub[i, j])
+    """D[i, j] = max pairwise distance among positions i..j of perm (zero on
+    and below the diagonal).  On the ordering-frame submatrix with its lower
+    triangle zeroed, a prefix max along each row gives
+    R[a, j] = max over a < b <= j of d(a, b), and a suffix max down each
+    column then gives D[i, j] = max over a >= i of R[a, j]."""
+    perm = np.asarray(perm, dtype=np.int64)
+    D = mat.take(perm, axis=0).take(perm, axis=1)
+    np.copyto(D, 0.0, where=np.tri(len(perm), dtype=bool))
+    np.maximum.accumulate(D, axis=1, out=D)
+    np.maximum.accumulate(D[::-1], axis=0, out=D[::-1])
     return D
 
 
@@ -217,17 +225,16 @@ def verify_triangle(fam, metric):
     if fam.kind != TRIANGLE:
         raise ValueError("verify_triangle expects a triangle family")
     n = metric.n
-    _require_covering(fam, n)
+    _require_point_ids(fam, n)
     mat = metric.matrix()
     best = np.full((n, n), np.inf)
+    inv = np.empty(n, dtype=np.int64)
     for o in fam.orderings:
         perm = np.asarray(o.perm, dtype=np.int64)
         D = window_diameter_table(perm, mat)
-        inv = np.empty(n, dtype=np.int64)
+        D += D.T  # exact: one of D[i, j], D[j, i] is zero
         inv[perm] = np.arange(n)
-        pi = np.minimum(inv[:, None], inv[None, :])
-        pj = np.maximum(inv[:, None], inv[None, :])
-        best = np.minimum(best, D[pi, pj])
+        np.minimum(best, D.take(inv, axis=0).take(inv, axis=1), out=best)
     return _report_from_best(TRIANGLE, fam.rho, best, mat)
 
 
@@ -236,6 +243,7 @@ def verify_rooted(fam, metric):
     if fam.kind != ROOTED:
         raise ValueError("verify_rooted expects a rooted family")
     n = metric.n
+    _require_point_ids(fam, n)
     mat = metric.matrix()
     for idx, o in enumerate(fam.orderings):
         if o.root is None:

@@ -72,6 +72,12 @@ def random_metric(n, seed):
     return shortest_path_metric(g)
 
 
+def random_triangle_family(n, tau, rho, seed):
+    """Negative control: tau seeded random permutations at rho."""
+    rng = np.random.default_rng(seed)
+    return OrderingFamily("triangle", [Ordering(rng.permutation(n)) for _ in range(tau)], rho=rho)
+
+
 def _bitlen(v):
     out = np.zeros(v.shape, dtype=np.int64)
     work = v.copy()
@@ -161,6 +167,13 @@ def test_criterion_3_euclidean_triangle_lso():
         assert rep.passed
         assert rep.rho == pytest.approx((1 + delta) * t)
         assert fam.meta["attempts"] <= 7  # <= 6 doublings
+        if d == 8:
+            # vacuous: dmax/dmin is 8.7 here, so random permutations of the
+            # same tau pass at this rho (max stretch 4.2 at seed 308); this
+            # instance cannot catch a broken construction
+            continue
+        control = random_triangle_family(200, len(fam.orderings), fam.rho, seed=300 + d)
+        assert not verify_triangle(control, LpMetric(ps)).passed
     # DP window diameters equal naive maxima on n <= 40 subsets
     rng = np.random.default_rng(7)
     pts = PointSet(rng.uniform(size=(40, 3)))
@@ -173,7 +186,7 @@ def test_criterion_3_euclidean_triangle_lso():
             assert D[i, j] == max(mat[a, b] for a in sub for b in sub)
     elapsed = time.time() - start
     assert elapsed < 300.0, f"criterion 3 took {elapsed:.1f}s"
-    passed(3, f"d in {{2,4,8}}, n=200 verified at rho=(1+delta)t; DP = naive ({elapsed:.1f}s)")
+    passed(3, f"d in {{2,4,8}}, n=200 verified at rho=(1+delta)t; random controls fail at d in {{2,4}}; DP = naive ({elapsed:.1f}s)")
 
 
 def test_criterion_4_volume_ratio_monte_carlo():
@@ -209,6 +222,8 @@ def test_criterion_5_doubling_pipeline():
         fam = cover_preorder_to_triangle_lso(cover)
         rep = verify_triangle(fam, metric)
         assert rep.passed, rep.summary()
+        control = random_triangle_family(200, len(fam.orderings), fam.rho, seed=400 + t)
+        assert not verify_triangle(control, metric).passed
         # subtree contiguity, exact
         for hst in cover.hsts[::17]:
             order = hst.preorder_leaves()
@@ -227,7 +242,7 @@ def test_criterion_5_doubling_pipeline():
             rec(hst.root)
     elapsed = time.time() - start
     assert elapsed < 120.0, f"criterion 5 took {elapsed:.1f}s"
-    passed(5, f"n=200 t in {{4,8}}: dominating cover, stretch <= t, preorder family ({elapsed:.1f}s)")
+    passed(5, f"n=200 t in {{4,8}}: dominating cover, stretch <= t, preorder family, random controls fail ({elapsed:.1f}s)")
 
 
 def test_criterion_6_rooted_constructions():

@@ -150,6 +150,23 @@ def test_verify_planted_violation_pair(tmp_path):
     assert (0, 1) in pairs and (0, 2) in pairs
 
 
+def test_verify_point_id_outside_range_is_structural(tmp_path):
+    ps = PointSet([[0.0], [1.0], [2.0]])
+    ppath = tmp_path / "pts.txt"
+    fileio.write_points(ppath, ps)
+    fam = OrderingFamily("triangle", [Ordering([0, 1, 2]), Ordering([0, 1, 3])], rho=2.0)
+    fpath = tmp_path / "fam.json"
+    fileio.write_family(fpath, fam)
+    rpath = tmp_path / "rep.json"
+    proc = run_cli(["verify", "--input", str(ppath), "--family", str(fpath), "--out", str(rpath)])
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(rpath.read_text())
+    assert report["pass"] is False
+    [(kind, message, _)] = report["violations"]
+    assert kind == "structural"
+    assert "ordering 1 holds point id 3" in message
+
+
 def test_nns_subcommand(tmp_path):
     rng = np.random.default_rng(4)
     g = WeightedGraph(

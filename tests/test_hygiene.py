@@ -1,9 +1,11 @@
 """Source hygiene: every name a package module imports is used in it, every
-CLI flag is read by its subcommand's handler, and every attribute a package
-class stores is read somewhere."""
+CLI flag is read by its subcommand's handler, every attribute a package
+class stores is read somewhere, and every function the benchmark tracer
+wraps exists."""
 
 import argparse
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -264,3 +266,23 @@ def test_attribute_reads_follow_types():
     # A.x is read through a typed parameter, so B.x is not; A.y through the
     # subclass; B.z through a receiver of unknown type
     assert AttributeReads(tree, tree).unread() == ["m.py:15 B.x", "m.py:5 Rec.dropped"]
+
+
+def test_perfbench_tracer_targets_resolve():
+    """Each `perfbench/tracer.py` TARGETS entry names a function or method
+    that its owner defines itself, so a rename fails here instead of in a
+    traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = []
+    for module_name, attr, *_ in tracer.TARGETS:
+        try:
+            owner, name = tracer._resolve(module_name, attr)
+        except (ImportError, AttributeError):
+            missing.append(f"{module_name}.{attr}")
+            continue
+        if name not in owner.__dict__:
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from lsorder.doubling import build_ultrametric_cover, cover_preorder_to_triangle_lso
+from lsorder.euclidean import build_triangle_lso
 from lsorder.metrics import LpMetric, MatrixMetric, PointSet, WeightedGraph, shortest_path_metric
 from lsorder.orderings import (
     Ordering,
     OrderingFamily,
     TreeDecomposition,
+    _report_from_best,
     build_rooted_lso_tree,
     build_rooted_lso_treewidth,
     verify_classic,
+    verify_family,
     verify_rooted,
     verify_triangle,
     window_diameter_table,
@@ -101,7 +105,103 @@ def test_window_diameter_dp_equals_naive():
         D = window_diameter_table(perm, mat)
         for i in range(n):
             for j in range(i, n):
-                assert D[i, j] == pytest.approx(window_diameter_naive(perm, mat, i, j))
+                assert D[i, j] == window_diameter_naive(perm, mat, i, j)
+
+
+def window_diameter_reference(perm, mat):
+    """The span recurrence D(i,j) = max(D(i+1,j), D(i,j-1), d(i,j)), one
+    vectorized step per span."""
+    m = len(perm)
+    sub = mat[np.ix_(perm, perm)]
+    D = np.zeros((m, m))
+    for span in range(1, m):
+        i = np.arange(0, m - span)
+        j = i + span
+        D[i, j] = np.maximum(np.maximum(D[i + 1, j], D[i, j - 1]), sub[i, j])
+    return D
+
+
+def window_table_cases():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 8, 33):
+        mat = LpMetric(PointSet(rng.uniform(size=(n, 3)))).matrix()
+        for _ in range(3):
+            yield f"uniform n={n}", rng.permutation(n), mat
+    flat = np.ones((9, 9)) - np.eye(9)
+    yield "all-equal", rng.permutation(9), flat
+    dup = LpMetric(PointSet(np.repeat(rng.uniform(size=(6, 2)), 3, axis=0))).matrix()
+    yield "duplicates", rng.permutation(18), dup
+    yield "all-duplicate", rng.permutation(5), np.zeros((5, 5))
+
+
+def test_window_diameter_table_equals_span_recurrence():
+    for name, perm, mat in window_table_cases():
+        D = window_diameter_table(perm, mat)
+        ref = window_diameter_reference(perm, mat)
+        assert D.shape == ref.shape and D.dtype == ref.dtype, name
+        assert D.tobytes() == ref.tobytes(), name
+
+
+def reference_verify_triangle(fam, metric):
+    """verify_triangle as a per-ordering (pi, pj) index gather of the span
+    recurrence's table."""
+    n = metric.n
+    mat = metric.matrix()
+    best = np.full((n, n), np.inf)
+    for o in fam.orderings:
+        perm = np.asarray(o.perm, dtype=np.int64)
+        D = window_diameter_reference(perm, mat)
+        inv = np.empty(n, dtype=np.int64)
+        inv[perm] = np.arange(n)
+        pi = np.minimum(inv[:, None], inv[None, :])
+        pj = np.maximum(inv[:, None], inv[None, :])
+        best = np.minimum(best, D[pi, pj])
+    return _report_from_best("triangle", fam.rho, best, mat)
+
+
+def triangle_verify_cases():
+    for n, d, m in ((2, 2, 1), (3, 2, 1), (17, 2, 1), (40, 4, 1), (60, 2, 2)):
+        ps = PointSet(np.random.default_rng(n + d).uniform(size=(n, d)))
+        yield f"ball-carving n={n}", build_triangle_lso(ps, 2, 4.0, 0.5, m=m, seed=n), LpMetric(ps)
+    metric = LpMetric(PointSet(np.random.default_rng(8).uniform(size=(50, 2))))
+    yield "cover preorder", cover_preorder_to_triangle_lso(build_ultrametric_cover(metric, t=4, seed=9)), metric
+    yield "planted", OrderingFamily("triangle", [Ordering([0, 2, 1, 3])], rho=2.0), line_metric(
+        [0.0, 0.1, 100.0, 100.1]
+    )
+    dup = LpMetric(PointSet(np.repeat(np.random.default_rng(3).uniform(size=(5, 2)), 2, axis=0)))
+    rng = np.random.default_rng(4)
+    yield "duplicates", OrderingFamily("triangle", [Ordering(rng.permutation(10)) for _ in range(3)], rho=3.0), dup
+
+
+def test_verify_triangle_matches_reference_verifier():
+    saw_violation = False
+    for name, fam, metric in triangle_verify_cases():
+        rep = verify_triangle(fam, metric)
+        ref = reference_verify_triangle(fam, metric)
+        assert rep.pairs_checked == ref.pairs_checked, name
+        assert rep.violations == ref.violations, name
+        assert rep.max_observed_stretch == ref.max_observed_stretch, name
+        saw_violation |= bool(rep.violations)
+    assert saw_violation
+
+
+def bad_id_families(n):
+    """(family, bad id) with the bad id in ordering 1, for each family kind."""
+    ok = list(range(n))
+    for bad in (n, -1):
+        for kind in ("classic", "triangle"):
+            yield OrderingFamily(kind, [Ordering(ok), Ordering([bad] + ok[1:])], rho=2.0), bad
+        yield OrderingFamily("rooted", [Ordering(ok, root=0), Ordering([bad, 0], root=bad)], rho=2.0), bad
+
+
+def test_verifiers_reject_point_ids_outside_range():
+    # unchecked, numpy indexing would wrap -1 to point 2, and [-1, 0, 1]
+    # would pass as [2, 0, 1] on the line 0, 1, 2
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    m = shortest_path_metric(g)
+    for fam, bad in bad_id_families(3):
+        with pytest.raises(ValueError, match=rf"ordering 1 holds point id {bad}, outside 0\.\.2"):
+            verify_family(fam, m)
 
 
 def test_triangle_adjacent_pair_ratio_one():
