@@ -147,13 +147,7 @@ class FtTwoHopPathSpanner:
         return len(self.edges)
 
     def query(self, i, j, faults=()):
-        """Surviving midpoint l with i <= l <= j and l not in faults.
-
-        Closed form of the halving descent: the first segment whose middle
-        block separates i, j has size 2^(k+1), k the top bit of
-        (i-1) ^ (j-1); at or below clique size the pair is a direct edge.
-        Returns the lowest surviving block member between i and j.
-        """
+        """Surviving midpoint l with i <= l <= j and l not in faults."""
         F = set(faults)
         if len(F) > self.f:
             raise ValueError(f"fault set of size {len(F)} exceeds budget {self.f}")
@@ -163,64 +157,61 @@ class FtTwoHopPathSpanner:
             raise ValueError("query endpoints must not be faulted")
         if i > j:
             i, j = j, i
-        if i == j:
-            return i
-        k = ((i - 1) ^ (j - 1)).bit_length() - 1
-        size = 1 << (k + 1)
-        if size <= self.clique_size:
-            return i  # direct clique edge {i, j}
-        base = ((i - 1) >> (k + 1)) << (k + 1)
-        mid = base + (1 << k)
-        half = self.f // 2
-        for l in range(max(mid - half, i, base + 1), min(mid + half, j, base + size) + 1):
-            if l not in F:
-                return l
-        raise AssertionError("no surviving midpoint; impossible for |F| <= f")
+        k = max((i - 1) ^ (j - 1), 1).bit_length() - 1
+        return self._survivor(i, j, k, sorted(F), max)
 
-    def query_batch(self, i_arr, j_arr, fault_mask, rows=None):
-        """Vectorized query: i_arr < j_arr, fault_mask[pos] for pos in 1..n_padded.
+    def query_batch(self, i_arr, j_arr, faults=None, rows=None):
+        """Vectorized query over int arrays, i_arr <= j_arr, no endpoint a fault.
 
-        A 1-D fault_mask is shared by every query row.  With a 2-D one, the
-        pair i_arr[r], j_arr[r] reads mask row rows[r] (fault_mask[rows[r],
-        pos]; rows defaults to 0, 1, 2, ...), so pairs under different fault
-        sets share one call without copying mask rows.
-
-        Uses the closed form of the descent: the stopping segment of a pair is
-        the lowest power-of-two segment >= clique size separating them.
+        faults is None (no faults), a 1-D bool mask over positions shared by
+        every row (faults[p] for p in 1..n), or a 2-D int array whose rows
+        hold fault positions in ascending order.  With the 2-D form the pair
+        i_arr[r], j_arr[r] reads row rows[r] (rows defaults to 0, 1, 2, ...),
+        so pairs under different fault sets share one call without copying
+        rows.  Entries outside 1..n never match, so 0 pads a short row.
         """
-        x = np.asarray(i_arr, dtype=np.int64) - 1
-        y = np.asarray(j_arr, dtype=np.int64) - 1
-        xor = x ^ y
-        k = floor_log2(np.maximum(xor, 1))
-        # separating segment has size 2^(k+1); cliques answer below clique_size
-        cbits = self.clique_size.bit_length() - 1
-        clique = (k + 1) <= cbits
-        seg = np.maximum(k + 1, 1)
-        c = x >> seg
-        mid = (c << seg) + (1 << k)  # 1-indexed block center
-        half = self.f // 2
-        lo_cand = np.maximum(np.maximum(mid - half, x + 1), (c << seg) + 1)
-        hi_cand = np.minimum(np.minimum(mid + half, y + 1), (c + 1) << seg)
-        out = np.where(clique, x + 1, lo_cand)
-        shared = fault_mask.ndim == 1
-        if not shared and rows is None:
-            rows = np.arange(x.size)
-        # out-of-block entries fail cand <= hi_cand; min() keeps the index valid
-        first = np.minimum(lo_cand, hi_cand)
-        missed = (lo_cand > hi_cand) | (fault_mask[first] if shared else fault_mask[rows, first])
-        todo = np.nonzero(~clique & missed)[0]  # rows whose lowest candidate fails
-        for off in range(1, self.f + 1):
-            if not todo.size:
-                break
-            cand = lo_cand[todo] + off
-            hi = hi_cand[todo]
-            at = np.minimum(cand, hi)
-            ok = (cand <= hi) & ~(fault_mask[at] if shared else fault_mask[rows[todo], at])
-            out[todo[ok]] = cand[ok]
-            todo = todo[~ok]
-        if todo.size:
+        i = np.asarray(i_arr, dtype=np.int64)
+        k = np.asarray(j_arr, dtype=np.int64) - 1
+        k ^= i - 1
+        np.maximum(k, 1, out=k)
+        k = floor_log2(k)
+        if faults is None:
+            cols = ()
+        elif faults.ndim == 1:
+            cols = np.flatnonzero(faults)
+        elif rows is None:
+            cols = faults.T
+        else:
+            cols = (faults[rows, t] for t in range(faults.shape[1]))
+        return self._survivor(i, j_arr, k, cols)
+
+    def _survivor(self, i, j, k, faults, maximum=np.maximum):
+        """The closed form of the halving descent, shared by query (ints,
+        maximum=max) and query_batch (int64 arrays): the lowest position at or
+        above max(mid - f'/2, i) that is not a fault, for i <= j, k the top
+        bit of (i-1) ^ (j-1) (0 when i == j) and faults in ascending order.
+
+        For i < j bit k of x = i - 1 is 0, so mid = (x | (2^k - 1)) + 1 is x
+        with bit k set and the bits below it cleared: the centre of the
+        middle block of the segment of size 2^(k+1) that first separates i
+        and j, with i <= mid < j.  Both lie in that segment, so its bounds
+        never clamp the block.  At or below clique size, 2^(k+1) <= f' + 2
+        puts mid - f'/2 at or below i, and the answer is i itself: the direct
+        clique edge {i, j}.  For i == j, mid = i.  Stepping l past each fault
+        it meets (l += l == p, p ascending) gives the lowest survivor; with
+        live endpoints and |F| <= f' it stays in the block and at most j.
+        """
+        b = 1 << k
+        b -= 1
+        b |= i - 1
+        b += 1 - self.f // 2  # the block's first position, mid - f'/2
+        l = maximum(b, i)
+        for p in faults:
+            l += l == p
+        b += self.f  # its last, mid + f'/2
+        if np.count_nonzero((l > b) | (l > j)):
             raise AssertionError("no surviving midpoint; impossible for |F| <= f")
-        return out
+        return l
 
 
 class ThreeHopPathSpanner:

@@ -240,7 +240,9 @@ def floor_log2(v):
     """
     v = np.asarray(v, dtype=np.int64)
     k = np.log2(v).astype(np.int64)
-    k += np.sign((v >> k) - 1)
+    t = v >> k
+    t -= 1
+    k += np.sign(t, out=t)
     return k
 
 

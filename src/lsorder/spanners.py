@@ -8,18 +8,18 @@ spanners (plain and fault-tolerant, classic or triangle family) keep the
 family as an (m, n) stack of permutations plus the (m, n) table of each
 point's position in each ordering; a pair query is one vectorized midpoint
 step over all m orderings, and the all-pairs checks read the same table
-(two_hop_rows, one ordering at a time).  The FT residual check keeps, from
-its first call on, a fault-free candidate table of every pair's midpoint in
-every ordering (4*m*P + 16*P bytes over the P = n(n-1)/2 pairs; a
-ValueError above TABLE_CAP_BYTES), and a call recomputes only the rows
+(two_hop_rows, one ordering at a time).  An FT query hands the FT hop
+structure the positions of the fault set in each ordering, ascending per
+ordering, so one spanner keeps no per-query state.  The FT residual check
+keeps, from its first call on, a fault-free candidate table of every pair's
+midpoint in every ordering (4*m*P + 16*P bytes over the P = n(n-1)/2 pairs;
+a ValueError above TABLE_CAP_BYTES), and a call recomputes only the rows
 whose midpoint is a fault.
 """
 
 import math
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -120,7 +120,7 @@ def lightest_two_hop(perms, mat, u, v, mids):
 
 
 def _check_ids(n, ids):
-    if any(not 0 <= x < n for x in ids):
+    if ids and not 0 <= min(ids) <= max(ids) < n:
         raise ValueError(f"point ids {sorted(ids)} out of range 0..{n - 1}")
 
 
@@ -141,9 +141,9 @@ class OrderingHopSpanner(PathReportingSpanner):
         self.add_ordering_edges(self.perms, pos0, mid0, self.mat)
 
     def query(self, u, v):
+        _check_ids(self.n, (u, v))
         if u == v:
             return [u], 0.0
-        _check_ids(self.n, (u, v))
         pu, pv = self.table[:, u], self.table[:, v]
         mids = self.hop.query_batch(np.minimum(pu, pv), np.maximum(pu, pv))
         return lightest_two_hop(self.perms, self.mat, u, v, mids)
@@ -188,6 +188,7 @@ class RootedHopSpanner(PathReportingSpanner):
                 self.add_edge(pid, o.root, self.mat[pid, o.root])
 
     def query(self, u, v):
+        _check_ids(self.n, (u, v))
         if u == v:
             return [u], 0.0
         best = None
@@ -197,7 +198,7 @@ class RootedHopSpanner(PathReportingSpanner):
                 continue
             r = o.root
             path = [u] + ([r] if r not in (u, v) else []) + [v]
-            w = sum(self.mat[a, b] for a, b in zip(path, path[1:]))
+            w = self.mat[u, r] + self.mat[r, v]  # the zero diagonal covers r in (u, v)
             if best is None or w < best[1]:
                 best = (path, w)
         if best is None:
@@ -696,15 +697,16 @@ def sparse_cover_spanner(metric, k, eps, estimator):
 
 # FtOrderingSpanner.residual_all_pairs_weights: the largest fault-free
 # candidate table it builds, and the hit rows it recomputes per query_batch
-# call (each row holds about 200 bytes of temporaries there)
+# call (each row peaks at about 75 bytes of temporaries there, by tracemalloc)
 TABLE_CAP_BYTES = 1 << 30
 RECOMPUTE_ROWS = 1 << 11
 
 
 class FtOrderingSpanner(PathReportingSpanner):
     """Classic/triangle: per-ordering FT hop structures, queried over all
-    orderings at once through the position table and a per-ordering fault
-    mask; rooted: edges from the first f+1 points of each ordering."""
+    orderings at once through the position table, each ordering reading the
+    ascending positions of the faults in it; rooted: edges from the first
+    f+1 points of each ordering."""
 
     def __init__(self, fam, metric, f):
         stretch = {
@@ -731,9 +733,6 @@ class FtOrderingSpanner(PathReportingSpanner):
             self.ft = FtTwoHopPathSpanner(metric.n, f)
             self.f = self.ft.f
             self.perms, self.table = stack_orderings(fam, self.n)
-            # fault positions per ordering, set for one call and cleared after
-            # it, so one spanner answers one query at a time
-            self.fault_mask = np.zeros((len(self.perms), self.ft.n_padded + 2), dtype=bool)
             ends = np.asarray(list(self.ft.edges), dtype=np.int64).reshape(-1, 2) - 1
             self.add_ordering_edges(self.perms, ends[:, 0], ends[:, 1], self.mat)
             self.candidates = None  # residual_all_pairs_weights builds it
@@ -742,6 +741,7 @@ class FtOrderingSpanner(PathReportingSpanner):
         F = set(faults)
         if len(F) > self.f:
             raise ValueError(f"fault set exceeds budget {self.f}")
+        _check_ids(self.n, F | {u, v})
         if u in F or v in F:
             raise ValueError("query endpoints must survive")
         if u == v:
@@ -756,28 +756,21 @@ class FtOrderingSpanner(PathReportingSpanner):
                 if z is None:
                     continue
                 path = [u] + ([z] if z not in (u, v) else []) + [v]
-                w = sum(self.mat[a, b] for a, b in zip(path, path[1:]))
+                w = self.mat[u, z] + self.mat[z, v]
                 if best is None or w < best[1]:
                     best = (path, w)
             if best is None:
                 raise LookupError(f"no surviving root serves ({u},{v})")
             return best
-        _check_ids(self.n, F | {u, v})
         pu, pv = self.table[:, u], self.table[:, v]
-        with self._faulted(F):
-            mids = self.ft.query_batch(np.minimum(pu, pv), np.maximum(pu, pv), self.fault_mask)
+        mids = self.ft.query_batch(np.minimum(pu, pv), np.maximum(pu, pv), self._fault_positions(F))
         return lightest_two_hop(self.perms, self.mat, u, v, mids)
 
-    @contextmanager
-    def _faulted(self, F):
-        """fault_mask holds the positions of F in every ordering, inside the block."""
-        rows = np.arange(len(self.perms))[:, None]
-        cols = self.table[:, list(F)]
-        self.fault_mask[rows, cols] = True
-        try:
-            yield
-        finally:
-            self.fault_mask[rows, cols] = False
+    def _fault_positions(self, F):
+        """(m, |F|): the positions of F in each ordering, ascending per row."""
+        positions = self.table.take(list(F), axis=1)
+        positions.sort()
+        return positions
 
     def residual_all_pairs_weights(self, faults):
         """(alive, best): the surviving points and, over their pairs in
@@ -795,6 +788,7 @@ class FtOrderingSpanner(PathReportingSpanner):
         F = set(faults)
         if len(F) > self.f:
             raise ValueError(f"fault set exceeds budget {self.f}")
+        _check_ids(self.n, F)
         alive = np.asarray([p for p in range(self.n) if p not in F], dtype=np.int64)
         if self.kind == ROOTED:
             iu, iv = np.triu_indices(alive.size, k=1)
@@ -810,7 +804,6 @@ class FtOrderingSpanner(PathReportingSpanner):
                 w = self.mat[a, z] + self.mat[z, b]
                 best = np.where(inside, np.minimum(best, w), best)
             return alive, best
-        _check_ids(self.n, F)
         Z, best0, arg0 = self._candidate_table()
         a, b = np.triu_indices(self.n, k=1)
         dead = np.zeros(self.n, dtype=bool)
@@ -832,14 +825,14 @@ class FtOrderingSpanner(PathReportingSpanner):
             wl += self.mat[zl, b[lost]]
             wl[dead[zl]] = np.inf
             best[lost] = wl.min(axis=0)
-        with self._faulted(F):
-            for s in range(0, ks.size, RECOMPUTE_ROWS):
-                k, p = ks[s : s + RECOMPUTE_ROWS], ps[s : s + RECOMPUTE_ROWS]
-                pa, pb = a[p], b[p]
-                pu, pv = self.table[k, pa], self.table[k, pb]
-                l = self.ft.query_batch(np.minimum(pu, pv), np.maximum(pu, pv), self.fault_mask, k)
-                z = self.perms[k, l - 1]
-                np.minimum.at(best, p, self.mat[pa, z] + self.mat[z, pb])
+        positions = self._fault_positions(F)
+        for s in range(0, ks.size, RECOMPUTE_ROWS):
+            k, p = ks[s : s + RECOMPUTE_ROWS], ps[s : s + RECOMPUTE_ROWS]
+            pa, pb = a[p], b[p]
+            pu, pv = self.table[k, pa], self.table[k, pb]
+            l = self.ft.query_batch(np.minimum(pu, pv), np.maximum(pu, pv), positions, k)
+            z = self.perms[k, l - 1]
+            np.minimum.at(best, p, self.mat[pa, z] + self.mat[z, pb])
         return alive, best[keep]
 
     def _candidate_table(self):
@@ -860,9 +853,8 @@ class FtOrderingSpanner(PathReportingSpanner):
             Z = np.empty((m, P), dtype=np.int32)
             best0 = np.full(P, np.inf)
             arg0 = np.zeros(P, dtype=np.int64)
-            no_faults = np.zeros(self.ft.n_padded + 2, dtype=bool)
-            fault_free = partial(self.ft.query_batch, fault_mask=no_faults)
-            for k, (z, w) in enumerate(two_hop_rows(self.perms, self.table, self.mat, a, b, fault_free)):
+            rows = two_hop_rows(self.perms, self.table, self.mat, a, b, self.ft.query_batch)
+            for k, (z, w) in enumerate(rows):
                 Z[k] = z
                 better = w < best0
                 best0[better] = w[better]

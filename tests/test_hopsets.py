@@ -9,6 +9,7 @@ from lsorder.hopsets import (
     ThreeHopPathSpanner,
     TwoHopPathSpanner,
 )
+from lsorder.metrics import floor_log2
 
 
 def build_two_hop_reference(n):
@@ -216,10 +217,19 @@ def test_ft_batch_matches_scalar():
             assert int(l) == ft.query(i, j, faults)
 
 
+def fault_rows(sets, width):
+    """The per-row fault form: one row per set, its positions ascending,
+    padded at the front with 0 (no position) to width columns."""
+    rows = np.zeros((len(sets), width), dtype=np.int64)
+    for r, faults in enumerate(sets):
+        rows[r, width - len(faults) :] = sorted(faults)
+    return rows
+
+
 @pytest.mark.parametrize("n,f", [(40, 2), (100, 4), (512, 2)])
 def test_ft_batch_row_masks_match_shared_masks(n, f):
-    """A 2-D fault_mask (one row per query) answers each row as the 1-D
-    mask of that row does."""
+    """Per-row fault positions (one row per query, or picked by rows)
+    answer each query as the 1-D mask of its fault set does."""
     ft = FtTwoHopPathSpanner(n, f)
     rng = np.random.default_rng(n + f)
     sets = block_center_fault_sets(ft, rng, 20) + [set(), {int(rng.integers(1, n + 1))}]
@@ -234,11 +244,107 @@ def test_ft_batch_row_masks_match_shared_masks(n, f):
     masks = np.zeros((len(sets), ft.n_padded + 2), dtype=bool)
     for k, faults in enumerate(sets):
         masks[k, sorted(faults)] = True
-    batch = ft.query_batch(np.array(ii), np.array(jj), masks[rows])
-    assert batch.tolist() == ft.query_batch(np.array(ii), np.array(jj), masks, np.array(rows)).tolist()
+    positions = fault_rows(sets, ft.f)
+    batch = ft.query_batch(np.array(ii), np.array(jj), positions[rows])
+    assert batch.tolist() == ft.query_batch(np.array(ii), np.array(jj), positions, np.array(rows)).tolist()
     for t, (k, i, j) in enumerate(zip(rows, ii, jj)):
         assert batch[t] == ft.query_batch(np.array([i]), np.array([j]), masks[k])[0]
         assert batch[t] == ft.query(i, j, sets[k])
+
+
+def mask_query_batch_reference(ft, i_arr, j_arr, fault_mask, rows=None):
+    """The mask-based batch query the closed form replaced: segment clamps,
+    a clique branch, and an offset loop over a fault mask (1-D shared, or
+    2-D with one mask row per query or picked by rows)."""
+    x = np.asarray(i_arr, dtype=np.int64) - 1
+    y = np.asarray(j_arr, dtype=np.int64) - 1
+    xor = x ^ y
+    k = floor_log2(np.maximum(xor, 1))
+    cbits = ft.clique_size.bit_length() - 1
+    clique = (k + 1) <= cbits
+    seg = np.maximum(k + 1, 1)
+    c = x >> seg
+    mid = (c << seg) + (1 << k)
+    half = ft.f // 2
+    lo_cand = np.maximum(np.maximum(mid - half, x + 1), (c << seg) + 1)
+    hi_cand = np.minimum(np.minimum(mid + half, y + 1), (c + 1) << seg)
+    out = np.where(clique, x + 1, lo_cand)
+    shared = fault_mask.ndim == 1
+    if not shared and rows is None:
+        rows = np.arange(x.size)
+    first = np.minimum(lo_cand, hi_cand)
+    missed = (lo_cand > hi_cand) | (fault_mask[first] if shared else fault_mask[rows, first])
+    todo = np.nonzero(~clique & missed)[0]
+    for off in range(1, ft.f + 1):
+        if not todo.size:
+            break
+        cand = lo_cand[todo] + off
+        hi = hi_cand[todo]
+        at = np.minimum(cand, hi)
+        ok = (cand <= hi) & ~(fault_mask[at] if shared else fault_mask[rows[todo], at])
+        out[todo[ok]] = cand[ok]
+        todo = todo[~ok]
+    if todo.size:
+        raise AssertionError("no surviving midpoint; impossible for |F| <= f")
+    return out
+
+
+def block_member_set(ft, rng, size):
+    """size members of the middle block of a random segment above clique
+    size (random positions when there is none)."""
+    half = ft.f // 2
+    blocks = []
+    seg = ft.clique_size * 2
+    while seg <= ft.n_padded:
+        for lo in range(1, ft.n_padded + 1, seg):
+            mid = lo - 1 + seg // 2
+            members = [p for p in range(mid - half, mid + half + 1) if p <= ft.n]
+            if len(members) >= size:
+                blocks.append(members)
+        seg *= 2
+    pool = blocks[int(rng.integers(len(blocks)))] if blocks else range(1, ft.n + 1)
+    return set(int(p) for p in rng.choice(pool, size=size, replace=False))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 96, 512])
+def test_ft_batch_matches_mask_reference(n):
+    """The closed form equals the mask-based batch query over fault sets of
+    every size up to the budget (random, and on block members), rows with
+    i == j, and both fault forms: a shared 1-D mask and per-row positions."""
+    rng = np.random.default_rng(n)
+    moved = 0
+    for f in range(6):
+        ft = FtTwoHopPathSpanner(n, f)
+        sets = []
+        for size in range(min(ft.f, n - 1) + 1):
+            sets += [set(int(p) for p in rng.choice(np.arange(1, n + 1), size=size, replace=False)),
+                     block_member_set(ft, rng, size)]
+        rows, ii, jj = [], [], []
+        for k, faults in enumerate(sets):
+            mask = np.zeros(ft.n_padded + 2, dtype=bool)
+            mask[sorted(faults)] = True
+            alive = np.flatnonzero(~mask[1 : n + 1]) + 1
+            iu, iv = np.triu_indices(alive.size)  # i == j rows included
+            if iu.size > 6000:
+                pick = rng.choice(iu.size, size=6000, replace=False)
+                iu, iv = iu[pick], iv[pick]
+            i_arr, j_arr = alive[iu], alive[iv]
+            got = ft.query_batch(i_arr, j_arr, mask)
+            assert got.tolist() == mask_query_batch_reference(ft, i_arr, j_arr, mask).tolist()
+            moved += int(np.sum(got != ft.query_batch(i_arr, j_arr)))
+            rows += [k] * i_arr.size
+            ii.append(i_arr)
+            jj.append(j_arr)
+        rows, ii, jj = np.array(rows), np.concatenate(ii), np.concatenate(jj)
+        masks = np.zeros((len(sets), ft.n_padded + 2), dtype=bool)
+        for k, faults in enumerate(sets):
+            masks[k, sorted(faults)] = True
+        positions = fault_rows(sets, ft.f)
+        want = mask_query_batch_reference(ft, ii, jj, masks, rows).tolist()
+        assert ft.query_batch(ii, jj, positions, rows).tolist() == want
+        assert ft.query_batch(ii, jj, positions[rows]).tolist() == want
+    if n >= 5:
+        assert moved > 0
 
 
 def block_center_fault_sets(ft, rng, count):

@@ -524,9 +524,7 @@ def test_ft_query_matches_per_ordering_loop(case, f):
         for u, v in pairs:
             want = reference_query(ft, ft.ft, fam, u, v, faults)
             assert same_answer(ft.query(u, v, faults), want), (u, v, faults)
-            assert not ft.fault_mask.any()
         kept, best = ft.residual_all_pairs_weights(faults)
-        assert not ft.fault_mask.any()
         iu, iv = np.triu_indices(kept.size, k=1)
         for t in rng.choice(iu.size, size=min(iu.size, 200), replace=False):
             u, v = int(kept[iu[t]]), int(kept[iv[t]])
@@ -559,7 +557,7 @@ def reference_residual(ft, faults):
 def test_ft_residual_matches_per_ordering_loop(case, f, monkeypatch):
     """Several calls on one spanner (the candidate table is built once and
     reused), recomputing hit rows in one chunk and in chunks of 5:
-    bitwise-equal weights, the hit-row count, a clean mask."""
+    bitwise-equal weights and the hit-row count."""
     metric, fam, _ = ORDERING_CASES[case]()
     ft = ft_spanner_from_family(fam, metric, f)
     n = metric.n
@@ -573,7 +571,6 @@ def test_ft_residual_matches_per_ordering_loop(case, f, monkeypatch):
             assert alive.tolist() == want_alive.tolist()
             assert best.tobytes() == want_best.tobytes(), faults
             assert ft.last_recomputed == hits
-            assert not ft.fault_mask.any()
             if table is None:
                 table = ft.candidates
             assert ft.candidates is table
@@ -589,47 +586,81 @@ def test_ft_residual_table_cap(monkeypatch):
     monkeypatch.setattr(spanners, "TABLE_CAP_BYTES", need - 1)
     with pytest.raises(ValueError, match=f"n=17, tau={m} needs {need} bytes"):
         ft.residual_all_pairs_weights({2})
-    assert ft.candidates is None and not ft.fault_mask.any()
+    assert ft.candidates is None
     monkeypatch.setattr(spanners, "TABLE_CAP_BYTES", need)
     assert ft.residual_all_pairs_weights({2})[1].tobytes() == reference_residual(ft, {2})[1].tobytes()
 
 
-def test_query_errors_leave_the_mask_clean(monkeypatch):
+def test_query_errors_leave_later_answers_unchanged(monkeypatch):
+    """After each rejected query or residual call, including one whose batch
+    kernel raises, the same queries give the same answers as before."""
     metric, fam, make = triangle_case(17)
     sp = make(fam, metric)
     ft = ft_spanner_from_family(fam, metric, 2)
+    probes = [(0, 5, ()), (3, 11, {2, 7}), (4, 9, {1})]
+    before = [ft.query(u, v, F) for u, v, F in probes]
+    residual = [b.tobytes() for b in ft.residual_all_pairs_weights({2, 7})]
+
+    def unchanged():
+        assert [ft.query(u, v, F) for u, v, F in probes] == before
+        assert [b.tobytes() for b in ft.residual_all_pairs_weights({2, 7})] == residual
+
     for u, v in ((0, 17), (-1, 3)):
         with pytest.raises(ValueError, match="out of range"):
             sp.query(u, v)
         with pytest.raises(ValueError, match="out of range"):
             ft.query(u, v)
+        unchanged()
     with pytest.raises(ValueError, match="exceeds budget"):
         ft.query(0, 1, {2, 3, 4})
+    unchanged()
     with pytest.raises(ValueError, match="exceeds budget 2"):
         ft.residual_all_pairs_weights({2, 3, 4, 5})
+    unchanged()
     g = random_tree(12, 3)
     rooted = ft_spanner_from_family(build_rooted_lso_tree(g), shortest_path_metric(g), 1)
     with pytest.raises(ValueError, match="exceeds budget 1"):
         rooted.residual_all_pairs_weights({0, 1})
     with pytest.raises(ValueError, match="endpoints must survive"):
         ft.query(0, 1, {1})
+    unchanged()
     for faults in ({17}, {-2}):
         with pytest.raises(ValueError, match="out of range"):
             ft.query(0, 1, faults)
         with pytest.raises(ValueError, match="out of range"):
             ft.residual_all_pairs_weights(faults)
-    assert not ft.fault_mask.any()
-
-    ft.residual_all_pairs_weights(())  # build the table: the failure below is in the recompute
+        unchanged()
 
     def broken(*args, **kwargs):
         raise RuntimeError("query_batch failed")
 
-    monkeypatch.setattr(ft.ft, "query_batch", broken)
-    for call in (lambda: ft.query(0, 1, {2, 3}), lambda: ft.residual_all_pairs_weights({2, 3})):
-        with pytest.raises(RuntimeError):
-            call()
-        assert not ft.fault_mask.any()
+    with monkeypatch.context() as patch:
+        patch.setattr(ft.ft, "query_batch", broken)
+        for call in (lambda: ft.query(0, 1, {2, 3}), lambda: ft.residual_all_pairs_weights({2, 3})):
+            with pytest.raises(RuntimeError):
+                call()
+    unchanged()
+
+
+def test_ids_are_checked_before_every_shortcut():
+    """An out-of-range point id is rejected even where a shortcut (u == v,
+    an empty membership list, a rooted branch) would answer without it."""
+    metric, fam, make = triangle_case(20)
+    g = random_tree(20, 4)
+    rooted_fam, tree_metric = build_rooted_lso_tree(g), shortest_path_metric(g)
+    ordering = [make(fam, metric), ft_spanner_from_family(fam, metric, 2)]
+    rooted = [pr_spanner_from_rooted(rooted_fam, tree_metric),
+              ft_spanner_from_family(rooted_fam, tree_metric, 1)]
+    for sp in ordering + rooted:
+        for u, v in ((500, 500), (-1, -1), (3, 500), (500, 3)):
+            with pytest.raises(ValueError, match="out of range"):
+                sp.query(u, v)
+    for ft in (ordering[1], rooted[1]):
+        with pytest.raises(ValueError, match="out of range"):
+            ft.query(3, 3, (99,))
+        with pytest.raises(ValueError, match="out of range"):
+            ft.residual_all_pairs_weights((77,))
+        assert ft.query(3, 3) == ([3], 0.0)
 
 
 def test_ft_rooted_star_hub_fault():
