@@ -236,14 +236,17 @@ def cmd_verify(args):
 def cmd_nns(args):
     metric, _, _ = load_metric(args)
     fam = fileio.read_family(args.family)
-    if fam.kind == "rooted":
-        labels = assign_rooted_labels(fam, metric)
-        nns = RootedNns(fam, labels)
-    elif fam.kind == "triangle":
-        labels, hop = assign_triangle_labels(fam, metric)
-        nns = TriangleNns(fam, labels, hop)
-    else:
-        raise SystemExit("nns needs a rooted or triangle family")
+    try:
+        if fam.kind == "rooted":
+            labels = assign_rooted_labels(fam, metric)
+            nns = RootedNns(fam, labels)
+        elif fam.kind == "triangle":
+            labels, hop = assign_triangle_labels(fam, metric)
+            nns = TriangleNns(fam, labels, hop)
+        else:
+            raise SystemExit("nns needs a rooted or triangle family")
+    except ValueError as exc:
+        raise SystemExit(f"{args.family}: {exc}") from None
     for line in sys.stdin:
         toks = line.split()
         if not toks:
@@ -266,15 +269,16 @@ def cmd_nns(args):
 def cmd_path(args):
     metric, _, _ = load_metric(args)
     fam = fileio.read_family(args.family)
-    if fam.kind == "classic":
-        sp = pr_spanner_from_classic(fam, metric)
-    elif fam.kind == "triangle":
-        sp = pr_spanner_from_triangle(fam, metric)
-    else:
-        sp = pr_spanner_from_rooted(fam, metric)
-    ft = None
-    if args.f:
-        ft = ft_spanner_from_family(fam, metric, args.f)
+    try:
+        if fam.kind == "classic":
+            sp = pr_spanner_from_classic(fam, metric)
+        elif fam.kind == "triangle":
+            sp = pr_spanner_from_triangle(fam, metric)
+        else:
+            sp = pr_spanner_from_rooted(fam, metric)
+        ft = ft_spanner_from_family(fam, metric, args.f) if args.f else None
+    except ValueError as exc:
+        raise SystemExit(f"{args.family}: {exc}") from None
     for line in sys.stdin:
         toks = line.split()
         if not toks:

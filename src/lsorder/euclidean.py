@@ -92,11 +92,6 @@ class BallCarvingScheme:
         return j, k
 
 
-@dataclass
-class ScaleClustering:
-    assignment: dict  # point id -> (center ordinal, lattice tuple)
-
-
 def ordering_scale_range(metric_or_ps, scheme, extent=None):
     """(i_min, i_max): below i_min all pairs are separated (2*w_i < min
     distance), at i_max one width covers the diameter (w_i >= max distance).
@@ -245,37 +240,6 @@ def _sample_covering_centers(eff, w, p, rng):
         centers.extend(cand[rows[kept]])
         uncovered = uncovered[~hit]
     return np.asarray(centers), ordinals, lattice, counts
-
-
-def carve_scale(ps, scheme, i):
-    """Reference first-covering-center assignment at scale i.
-
-    Scans the stored base-scale centers in order (scaled by xi^(k*gamma));
-    raises CoverageError if some point is uncovered.
-    """
-    if not scheme.i_min <= i <= scheme.i_max:
-        raise ValueError(f"scale {i} outside scheme range [{scheme.i_min}, {scheme.i_max}]")
-    j, k = scheme.base_of(i)
-    w = scheme.base_widths[j]
-    period = 4.0 * w
-    centers = scheme.centers[j]
-    pts = ps.points * scheme.xi ** (-(k * scheme.gamma))
-    assignment = {}
-    for pid in range(len(pts)):
-        z = pts[pid]
-        found = None
-        if centers.size:
-            diff = z[None, :] - centers
-            u = np.rint(diff / period)
-            dist = _lp_norms(diff - period * u, scheme.p)
-            hits = np.nonzero(dist <= w)[0]
-            if hits.size:
-                first = int(hits[0])
-                found = (first, tuple(int(x) for x in u[first]))
-        if found is None:
-            raise CoverageError(f"point {pid} uncovered at scale {i}")
-        assignment[pid] = found
-    return ScaleClustering(assignment=assignment)
 
 
 def _ordering_from_scheme(ps, scheme):

@@ -243,6 +243,7 @@ def assign_rooted_labels(fam, metric):
     """Label each host point with its (ordering, position, root distance)."""
     if fam.kind != ROOTED:
         raise ValueError("rooted labels need a rooted family")
+    fam.require_points(metric.n)
     labels = {}
     for oid, o in enumerate(fam.orderings):
         for pos, pid in enumerate(o.perm):
@@ -341,14 +342,13 @@ def assign_triangle_labels(fam, metric):
     midpoints of that position, one per hop level, with true metric weights."""
     if fam.kind != TRIANGLE:
         raise ValueError("triangle labels need a triangle family")
-    n_host = len(fam.orderings[0].perm) if fam.orderings else 0
+    n_host = metric.n
+    fam.require_points(n_host)
     hop = TwoHopPathSpanner(n_host)
     mat = metric.matrix()
-    perms = np.array([o.perm for o in fam.orderings], dtype=np.int64)  # (m, n)
+    perms, positions = fam.perms, fam.table.T  # (m, n) and (n, m)
     m, delta = perms.shape[0], hop.delta
     oids = np.arange(m)[:, None]
-    positions = np.empty((n_host, m), dtype=np.int64)
-    positions[perms, oids] = np.arange(1, n_host + 1)
     weights = np.full((n_host, m, delta), np.nan)
     pos = np.arange(1, n_host + 1)
     for k in range(delta):

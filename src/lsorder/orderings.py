@@ -11,6 +11,8 @@ all orderings).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -28,23 +30,21 @@ class Ordering:
     root and are nondecreasing in distance to it."""
 
     def __init__(self, perm, root=None):
-        self.perm = list(int(x) for x in perm)
+        self.perm = np.asarray(perm, dtype=np.int64).tolist()
         if len(set(self.perm)) != len(self.perm):
             raise ValueError("ordering contains repeated ids")
         self.root = None if root is None else int(root)
         if self.root is not None and (not self.perm or self.perm[0] != self.root):
             raise ValueError("rooted ordering must start at its root")
-        self.pos = {p: idx for idx, p in enumerate(self.perm)}
-
-    def __len__(self):
-        return len(self.perm)
-
-    def __contains__(self, pid):
-        return pid in self.pos
 
 
 @dataclass
 class OrderingFamily:
+    """Orderings plus the one index every structure built on them reads:
+    perms and table for a classic or triangle family, membership for a
+    rooted one.  Each is built on first use and kept, so the orderings must
+    not change after that."""
+
     kind: str
     orderings: list
     rho: float
@@ -56,20 +56,49 @@ class OrderingFamily:
             raise ValueError(f"unknown ordering family kind {self.kind!r}")
         if not self.tau:
             if self.kind == ROOTED:
-                counts = {}
-                for o in self.orderings:
-                    for p in o.perm:
-                        counts[p] = counts.get(p, 0) + 1
-                self.tau = max(counts.values(), default=0)
+                self.tau = max(map(len, self.membership.values()), default=0)
             else:
                 self.tau = len(self.orderings)
 
-    def membership(self):
-        """point id -> list of ordering indices containing it."""
-        out = {}
+    def require_points(self, n):
+        """Raise unless every ordering holds only point ids 0..n-1 and, in a
+        classic or triangle family, all n of them (ids are distinct by
+        construction)."""
+        covering = self.kind != ROOTED
         for idx, o in enumerate(self.orderings):
+            if o.perm and (min(o.perm) < 0 or max(o.perm) >= n):
+                bad = next(p for p in o.perm if not 0 <= p < n)
+                raise ValueError(f"ordering {idx} holds point id {bad}, outside 0..{n - 1}")
+            if covering and len(o.perm) != n:
+                raise ValueError(
+                    f"ordering {idx} covers {len(o.perm)} of {n} points; "
+                    f"{self.kind} orderings must cover all points"
+                )
+
+    @cached_property
+    def perms(self):
+        """(m, n) int64: row k is ordering k of a classic or triangle family."""
+        n = len(self.orderings[0].perm) if self.orderings else 0
+        self.require_points(n)
+        perms = np.empty((len(self.orderings), n), dtype=np.int64)
+        perms[:] = [o.perm for o in self.orderings]
+        return perms
+
+    @cached_property
+    def table(self):
+        """(m, n) int64 1-indexed positions: table[k, perms[k, i]] = i + 1."""
+        perms = self.perms
+        table = np.empty_like(perms)
+        table[np.arange(len(perms))[:, None], perms] = np.arange(1, perms.shape[1] + 1)
+        return table
+
+    @cached_property
+    def membership(self):
+        """point id -> the ascending ids of the orderings holding it."""
+        out = {}
+        for k, o in enumerate(self.orderings):
             for p in o.perm:
-                out.setdefault(p, []).append(idx)
+                out.setdefault(p, []).append(k)
         return out
 
 
@@ -91,22 +120,6 @@ class VerificationReport:
             f"max_stretch={self.max_observed_stretch:.6g} "
             f"violations={len(self.violations)}"
         )
-
-
-def _require_point_ids(fam, n):
-    """Raise unless every ordering holds only point ids 0..n-1 and, in a
-    classic or triangle family, all n of them (ids are distinct by
-    construction)."""
-    covering = fam.kind != ROOTED
-    for idx, o in enumerate(fam.orderings):
-        if o.perm and (min(o.perm) < 0 or max(o.perm) >= n):
-            bad = next(p for p in o.perm if not 0 <= p < n)
-            raise ValueError(f"ordering {idx} holds point id {bad}, outside 0..{n - 1}")
-        if covering and len(o.perm) != n:
-            raise ValueError(
-                f"ordering {idx} covers {len(o.perm)} of {n} points; "
-                f"{fam.kind} orderings must cover all points"
-            )
 
 
 def _classic_pair_ratio(window, dx_row, dy_row):
@@ -132,12 +145,12 @@ def verify_classic(fam, metric, hint=None):
     if fam.kind != CLASSIC:
         raise ValueError("verify_classic expects a classic family")
     n = metric.n
-    _require_point_ids(fam, n)
+    fam.require_points(n)
     mat = metric.matrix()
     rho = fam.rho
     bound = rho * (1 + VERIFY_TOL)
-    perms = [np.asarray(o.perm, dtype=np.int64) for o in fam.orderings]
-    poss = [o.pos for o in fam.orderings]
+    perms, table = fam.perms, fam.table
+    m = len(perms)
     violations = []
     max_stretch = 0.0
     pairs = 0
@@ -146,18 +159,18 @@ def verify_classic(fam, metric, hint=None):
             pairs += 1
             d = mat[x, y]
             best = math.inf
-            order_ids = range(len(perms))
+            order_ids = range(m)
             if hint is not None:
                 h = hint(x, y)
                 if h is not None:
-                    order_ids = [h] + [k for k in range(len(perms)) if k != h]
+                    order_ids = chain((h,), (k for k in range(m) if k != h))
             if d > 0.0:
                 dx_row = mat[x] / d
                 dy_row = mat[y] / d
             for k in order_ids:
-                px, py = poss[k][x], poss[k][y]
+                px, py = table[k, x], table[k, y]
                 lo, hi = (px, py) if px < py else (py, px)
-                window = perms[k][lo + 1 : hi]
+                window = perms[k, lo : hi - 1]
                 if d == 0.0:
                     ratio = 0.0 if np.all(mat[x, window] == 0.0) else math.inf
                 else:
@@ -225,15 +238,13 @@ def verify_triangle(fam, metric):
     if fam.kind != TRIANGLE:
         raise ValueError("verify_triangle expects a triangle family")
     n = metric.n
-    _require_point_ids(fam, n)
+    fam.require_points(n)
     mat = metric.matrix()
     best = np.full((n, n), np.inf)
-    inv = np.empty(n, dtype=np.int64)
-    for o in fam.orderings:
-        perm = np.asarray(o.perm, dtype=np.int64)
+    for perm, pos in zip(fam.perms, fam.table):
         D = window_diameter_table(perm, mat)
         D += D.T  # exact: one of D[i, j], D[j, i] is zero
-        inv[perm] = np.arange(n)
+        inv = pos - 1
         np.minimum(best, D.take(inv, axis=0).take(inv, axis=1), out=best)
     return _report_from_best(TRIANGLE, fam.rho, best, mat)
 
@@ -243,7 +254,7 @@ def verify_rooted(fam, metric):
     if fam.kind != ROOTED:
         raise ValueError("verify_rooted expects a rooted family")
     n = metric.n
-    _require_point_ids(fam, n)
+    fam.require_points(n)
     mat = metric.matrix()
     for idx, o in enumerate(fam.orderings):
         if o.root is None:
@@ -252,13 +263,9 @@ def verify_rooted(fam, metric):
         if np.any(np.diff(dists) < 0):
             raise ValueError(f"ordering {idx} is not sorted by distance to root {o.root}")
     best = via_root_weights(fam, mat)
-    counts = np.zeros(n, dtype=np.int64)
-    for o in fam.orderings:
-        counts[o.perm] += 1
-    if fam.tau and counts.max(initial=0) > fam.tau:
-        raise ValueError(
-            f"per-point membership {int(counts.max())} exceeds declared tau {fam.tau}"
-        )
+    most = max(map(len, fam.membership.values()), default=0)
+    if fam.tau and most > fam.tau:
+        raise ValueError(f"per-point membership {most} exceeds declared tau {fam.tau}")
     return _report_from_best(ROOTED, fam.rho, best, mat)
 
 

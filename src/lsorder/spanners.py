@@ -3,18 +3,20 @@ oracles built from ordering families; plus the Thorup-Zwick and sparse-cover
 constructions for general metrics and the SPD/landmark spanner for graphs.
 
 Every spanner stores true metric edge weights and answers queries with an
-explicit path whose edges are present in the edge set.  The two ordering
-spanners (plain and fault-tolerant, classic or triangle family) keep the
-family as an (m, n) stack of permutations plus the (m, n) table of each
-point's position in each ordering; a pair query is one vectorized midpoint
-step over all m orderings, and the all-pairs checks read the same table
-(two_hop_rows, one ordering at a time).  An FT query hands the FT hop
-structure the positions of the fault set in each ordering, ascending per
-ordering, so one spanner keeps no per-query state.  The FT residual check
-keeps, from its first call on, a fault-free candidate table of every pair's
-midpoint in every ordering (4*m*P + 16*P bytes over the P = n(n-1)/2 pairs;
-a ValueError above TABLE_CAP_BYTES), and a call recomputes only the rows
-whose midpoint is a fault.
+explicit path whose edges are present in the edge set.  Every structure
+built on an ordering family reads the family's own index and derives none:
+the two ordering spanners (plain and fault-tolerant, classic or triangle
+family) and the oracles read its (m, n) permutation stack perms and its
+(m, n) table of each point's position in each ordering, the rooted spanners
+its membership.  A pair query is one vectorized midpoint step over all m
+orderings, and the all-pairs checks read the same table (two_hop_rows, one
+ordering at a time).  An FT query hands the FT hop structure the positions
+of the fault set in each ordering, ascending per ordering, so one spanner
+keeps no per-query state.  The FT residual check keeps, from its first call
+on, a fault-free candidate table of every pair's midpoint in every ordering
+(4*m*P + 16*P bytes over the P = n(n-1)/2 pairs; a ValueError above
+TABLE_CAP_BYTES), and a call recomputes only the rows whose midpoint is a
+fault.
 """
 
 import math
@@ -88,15 +90,6 @@ class PathReportingSpanner:
         return True
 
 
-def stack_orderings(fam, n):
-    """(perms, table): the family's orderings as an (m, n) int64 array and
-    the (m, n) int64 table of 1-indexed positions, table[k, perms[k, i]] = i + 1."""
-    perms = np.asarray([o.perm for o in fam.orderings], dtype=np.int64).reshape(-1, n)
-    table = np.empty_like(perms)
-    table[np.arange(len(perms))[:, None], perms] = np.arange(1, n + 1)
-    return perms, table
-
-
 def two_hop_rows(perms, table, mat, a, b, midpoint):
     """Per ordering k, for the pairs (a[r], b[r]) of distinct points: z, the
     point at midpoint(lo, hi) of their positions lo < hi in ordering k, and
@@ -132,9 +125,10 @@ class OrderingHopSpanner(PathReportingSpanner):
 
     def __init__(self, fam, metric, stretch):
         super().__init__(metric.n, stretch, 2)
+        fam.require_points(self.n)
         self.mat = metric.matrix()
         self.hop = TwoHopPathSpanner(metric.n)
-        self.perms, self.table = stack_orderings(fam, self.n)
+        self.perms, self.table = fam.perms, fam.table
         mids_of = [self.hop.edges_of(pos) for pos in range(1, self.n + 1)]
         pos0 = np.asarray([i for i, mids in enumerate(mids_of) for _ in mids], dtype=np.int64)
         mid0 = np.asarray([l - 1 for mids in mids_of for l in mids], dtype=np.int64)
@@ -180,9 +174,10 @@ class RootedHopSpanner(PathReportingSpanner):
         if fam.kind != ROOTED:
             raise ValueError("rooted family required")
         super().__init__(metric.n, fam.rho, 2)
+        fam.require_points(self.n)
         self.fam = fam
         self.mat = metric.matrix()
-        self.membership = fam.membership()
+        self.membership = fam.membership
         for o in fam.orderings:
             for pid in o.perm:
                 self.add_edge(pid, o.root, self.mat[pid, o.root])
@@ -192,11 +187,11 @@ class RootedHopSpanner(PathReportingSpanner):
         if u == v:
             return [u], 0.0
         best = None
-        for k in self.membership.get(u, []):
-            o = self.fam.orderings[k]
-            if v not in o.pos:
+        shared = self.membership.get(v, ())
+        for k in self.membership.get(u, ()):
+            if k not in shared:
                 continue
-            r = o.root
+            r = self.fam.orderings[k].root
             path = [u] + ([r] if r not in (u, v) else []) + [v]
             w = self.mat[u, r] + self.mat[r, v]  # the zero diagonal covers r in (u, v)
             if best is None or w < best[1]:
@@ -414,7 +409,6 @@ class SpdSpanner(PathReportingSpanner):
                 "copies": copies,
                 "fam": fam,
                 "orig": orig,
-                "membership": fam.membership(),
             }
         )
         for child in node.children:
@@ -453,11 +447,11 @@ class SpdSpanner(PathReportingSpanner):
     def _tree_two_hop(self, level, cu, cv, u, v):
         fam = level["fam"]
         best = None
-        for k in level["membership"].get(cu, []):
-            o = fam.orderings[k]
-            if cv not in o.pos:
+        shared = fam.membership.get(cv, ())
+        for k in fam.membership.get(cu, ()):
+            if k not in shared:
                 continue
-            z = level["orig"][o.root]
+            z = level["orig"][fam.orderings[k].root]
             path = [u] + ([z] if z not in (u, v) else []) + [v]
             w = sum(self.mat[a, b] for a, b in zip(path, path[1:]))
             if best is None or w < best[1]:
@@ -717,12 +711,13 @@ class FtOrderingSpanner(PathReportingSpanner):
         super().__init__(metric.n, stretch, 2)
         if f < 0:
             raise ValueError("fault budget must be >= 0")
+        fam.require_points(self.n)
         self.fam = fam
         self.kind = fam.kind
         self.mat = metric.matrix()
-        self.membership = fam.membership()
         if fam.kind == ROOTED:
             self.f = f
+            self.membership = fam.membership
             for o in fam.orderings:
                 heads = o.perm[: f + 1]
                 for z in heads:
@@ -732,7 +727,7 @@ class FtOrderingSpanner(PathReportingSpanner):
         else:
             self.ft = FtTwoHopPathSpanner(metric.n, f)
             self.f = self.ft.f
-            self.perms, self.table = stack_orderings(fam, self.n)
+            self.perms, self.table = fam.perms, fam.table
             ends = np.asarray(list(self.ft.edges), dtype=np.int64).reshape(-1, 2) - 1
             self.add_ordering_edges(self.perms, ends[:, 0], ends[:, 1], self.mat)
             self.candidates = None  # residual_all_pairs_weights builds it
@@ -748,10 +743,11 @@ class FtOrderingSpanner(PathReportingSpanner):
             return [u], 0.0
         if self.kind == ROOTED:
             best = None
-            for k in self.membership.get(u, []):
-                o = self.fam.orderings[k]
-                if v not in o.pos:
+            shared = self.membership.get(v, ())
+            for k in self.membership.get(u, ()):
+                if k not in shared:
                     continue
+                o = self.fam.orderings[k]
                 z = next((p for p in o.perm[: self.f + 1] if p not in F), None)
                 if z is None:
                     continue
@@ -889,19 +885,27 @@ class SpannerOracle:
         return edges
 
 
+def _terminal_chains(fam, terminals):
+    """Per ordering, the terminals (sorted, distinct point ids) in that
+    ordering's order."""
+    _check_ids(fam.perms.shape[1], terminals)
+    terms = np.asarray(terminals, dtype=np.int64)
+    for perm, pos in zip(fam.perms, fam.table):
+        yield perm[np.sort(pos[terms]) - 1].tolist()
+
+
 def spanner_oracle_classic(fam, metric):
     """Connect sigma-close terminal pairs of distance <= 2L; stretch 1+8*rho."""
     if fam.kind != CLASSIC:
         raise ValueError("classic family required")
     if fam.rho >= 0.25:
         raise ValueError("classic oracle needs rho < 1/4")
+    fam.require_points(metric.n)
     mat = metric.matrix()
 
     def builder(terminals, L):
-        tset = set(terminals)
         edges = {}
-        for o in fam.orderings:
-            chain = [p for p in o.perm if p in tset]
+        for chain in _terminal_chains(fam, terminals):
             for a, b in zip(chain, chain[1:]):
                 d = mat[a, b]
                 if d <= 2 * L:
@@ -919,6 +923,7 @@ def spanner_oracle_triangle(fam, metric, hops=2):
         raise ValueError("triangle family required")
     if hops not in (2, 3, 4):
         raise ValueError("hops must be 2, 3 or 4")
+    fam.require_points(metric.n)
     mat = metric.matrix()
     hop_cls = {2: TwoHopPathSpanner, 3: ThreeHopPathSpanner, 4: FourHopPathSpanner}[hops]
 
@@ -928,8 +933,7 @@ def spanner_oracle_triangle(fam, metric, hops=2):
         m = len(terminals)
         if m < 2:
             return []
-        for o in fam.orderings:
-            chain = sorted(terminals, key=lambda p: o.pos[p])
+        for chain in _terminal_chains(fam, terminals):
             hop = hop_cls(m)
             if hops == 2:
                 pair_iter = (

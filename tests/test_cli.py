@@ -219,6 +219,20 @@ def test_nns_subcommand_triangle(tmp_path):
             assert line == "ok"
 
 
+def test_path_and_nns_reject_a_family_over_other_points(tmp_path):
+    rng = np.random.default_rng(8)
+    ppath = tmp_path / "pts.txt"
+    fileio.write_points(ppath, PointSet(rng.uniform(size=(96, 2))))
+    fam = OrderingFamily("triangle", [Ordering(rng.permutation(48)) for _ in range(2)], rho=2.0)
+    fpath = tmp_path / "fam.json"
+    fileio.write_family(fpath, fam)
+    for argv, stdin in ((["path", "--f", "1"], "p 50 90\n"), (["nns"], "i 50\nq 90\n")):
+        proc = run_cli(argv + ["--input", str(ppath), "--family", str(fpath)], stdin=stdin)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"{fpath}: ordering 0 covers 48 of 96 points; triangle orderings must cover all points\n"
+
+
 def test_path_subcommand_with_faults(tmp_path):
     rng = np.random.default_rng(5)
     g = WeightedGraph(

@@ -10,6 +10,7 @@ from lsorder.euclidean import (
     CoverageError,
     _ball_torus_share,
     _grid_chunks,
+    _lp_norms,
     _materialize_grid_ordering,
     _ordering_from_scheme,
     _pair_key,
@@ -17,7 +18,6 @@ from lsorder.euclidean import (
     build_classic_grid_lso,
     build_triangle_lso,
     build_triangle_lso_verified,
-    carve_scale,
     estimate_volume_ratio,
     ordering_scale_range,
     sample_lp_ball,
@@ -53,6 +53,38 @@ def test_xi_formula_lp():
     assert scheme.gamma == math.ceil(4 / 2.0**1.5)
 
 
+def carve_scale(ps, scheme, i):
+    """Reference first-covering-center assignment at scale i: point id ->
+    (center ordinal, lattice tuple).
+
+    Scans the stored base-scale centers in order (scaled by xi^(k*gamma));
+    raises CoverageError if some point is uncovered.
+    """
+    if not scheme.i_min <= i <= scheme.i_max:
+        raise ValueError(f"scale {i} outside scheme range [{scheme.i_min}, {scheme.i_max}]")
+    j, k = scheme.base_of(i)
+    w = scheme.base_widths[j]
+    period = 4.0 * w
+    centers = scheme.centers[j]
+    pts = ps.points * scheme.xi ** (-(k * scheme.gamma))
+    assignment = {}
+    for pid in range(len(pts)):
+        z = pts[pid]
+        found = None
+        if centers.size:
+            diff = z[None, :] - centers
+            u = np.rint(diff / period)
+            dist = _lp_norms(diff - period * u, scheme.p)
+            hits = np.nonzero(dist <= w)[0]
+            if hits.size:
+                first = int(hits[0])
+                found = (first, tuple(int(x) for x in u[first]))
+        if found is None:
+            raise CoverageError(f"point {pid} uncovered at scale {i}")
+        assignment[pid] = found
+    return assignment
+
+
 def test_carve_scale_matches_stored_assignment():
     rng = np.random.default_rng(4)
     ps = PointSet(rng.uniform(size=(50, 2)))
@@ -62,8 +94,8 @@ def test_carve_scale_matches_stored_assignment():
         j, k = scheme.base_of(i)
         ordinals, lattice = scheme.assignments[(j, k)]
         for pid in range(50):
-            assert clustering.assignment[pid][0] == int(ordinals[pid]), (i, pid)
-            assert clustering.assignment[pid][1] == tuple(int(v) for v in lattice[pid])
+            assert clustering[pid][0] == int(ordinals[pid]), (i, pid)
+            assert clustering[pid][1] == tuple(int(v) for v in lattice[pid])
 
 
 def test_carve_scale_ball_containment():
@@ -77,7 +109,7 @@ def test_carve_scale_ball_containment():
     centers = scheme.centers[j]
     pts = ps.points * scheme.xi ** (-(k * scheme.gamma))
     for pid in range(50):
-        ordinal, u = clustering.assignment[pid]
+        ordinal, u = clustering[pid]
         center = centers[ordinal] + 4 * w * np.asarray(u)
         assert lp_distance(pts[pid], center, 2) <= w * (1 + 1e-12)
         # first-covering-center rule: no earlier center covers the point
@@ -94,7 +126,7 @@ def test_two_points_far_apart_distinct_clusters():
     for i in range(scheme.i_min, scheme.i_max + 1):
         if 2 * scheme.width(i) < 5.0:
             clustering = carve_scale(ps, scheme, i)
-            assert clustering.assignment[0] != clustering.assignment[1]
+            assert clustering[0] != clustering[1]
 
 
 def test_scale_reuse_consistency():
@@ -119,7 +151,7 @@ def test_scale_reuse_consistency():
                 if lp_distance(diff - 4 * w_i * uu, np.zeros(4), 2) <= w_i:
                     found = (ordinal, tuple(int(v) for v in uu))
                     break
-            assert found == clustering.assignment[pid]
+            assert found == clustering[pid]
 
 
 def test_ordering_scale_range_two_points():

@@ -289,7 +289,7 @@ def test_tree_lso_random_trees_exact(n, seed):
     assert max(counts.values()) <= int(np.ceil(np.log2(n))) + 1
     # centroid on the tree path: some shared root gives exact equality
     mat = m.matrix()
-    mem = fam.membership()
+    mem = fam.membership
     for u in range(0, n, 7):
         for v in range(u + 1, n, 11):
             shared = set(mem[u]) & set(mem[v])

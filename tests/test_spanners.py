@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lsorder import spanners
+from lsorder import orderings, spanners
 from lsorder.doubling import build_ultrametric_cover, cover_preorder_to_triangle_lso
 from lsorder.euclidean import build_classic_grid_lso, build_triangle_lso_verified
 from lsorder.metrics import (
@@ -13,6 +13,7 @@ from lsorder.metrics import (
     WeightedGraph,
     shortest_path_metric,
 )
+from lsorder.nns import assign_rooted_labels, assign_triangle_labels
 from lsorder.orderings import (
     Ordering,
     OrderingFamily,
@@ -426,9 +427,9 @@ def reference_query(sp, hop, fam, u, v, faults=()):
         return [u], 0.0
     best = None
     for o in fam.orderings:
-        pu, pv = o.pos[u] + 1, o.pos[v] + 1
+        pu, pv = o.perm.index(u) + 1, o.perm.index(v) + 1
         if faults:
-            l = hop.query(min(pu, pv), max(pu, pv), {o.pos[x] + 1 for x in faults})
+            l = hop.query(min(pu, pv), max(pu, pv), {o.perm.index(x) + 1 for x in faults})
         else:
             l = hop.query(min(pu, pv), max(pu, pv))
         z = o.perm[l - 1]
@@ -781,3 +782,88 @@ def test_oracle_triangle_variants(hops, stretch_mult):
             for v in terminals[i + 1 :]:
                 if L <= mat[u, v] < 2 * L:
                     assert dists[u][v] <= stretch_mult * rho * mat[u, v] * (1 + 1e-9)
+
+
+# --- the family index -----------------------------------------------------
+
+
+def mismatched_families():
+    """(family, metric, message) for families that do not match their metric:
+    covering orderings over too few points, and a rooted ordering holding a
+    point id the metric lacks."""
+    rng = np.random.default_rng(40)
+    points = LpMetric(PointSet(rng.uniform(size=(96, 2))))
+    short = "ordering 0 covers 48 of 96 points"
+    for kind, rho in (("triangle", 2.0), ("classic", 0.2)):
+        fam = OrderingFamily(kind, [Ordering(rng.permutation(48)) for _ in range(2)], rho=rho)
+        yield fam, points, short
+    ragged = OrderingFamily("triangle", [Ordering(rng.permutation(40)) for _ in range(3)], rho=2.0)
+    yield ragged, LpMetric(PointSet(rng.uniform(size=(48, 2)))), "ordering 0 covers 40 of 48 points"
+    path = shortest_path_metric(WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+    rooted = OrderingFamily("rooted", [Ordering([0, 1, 2], root=0), Ordering([5, 1], root=5)], rho=1.0)
+    yield rooted, path, r"ordering 1 holds point id 5, outside 0\.\.2"
+
+
+def family_consumers(fam):
+    """Every structure built on a family of this kind, as metric -> structure."""
+    if fam.kind == "rooted":
+        builders = [pr_spanner_from_rooted, assign_rooted_labels]
+    elif fam.kind == "triangle":
+        builders = [pr_spanner_from_triangle, assign_triangle_labels, spanner_oracle_triangle]
+    else:
+        builders = [pr_spanner_from_classic, spanner_oracle_classic]
+    return [lambda metric: ft_spanner_from_family(fam, metric, 1)] + [
+        lambda metric, build=build: build(fam, metric) for build in builders
+    ]
+
+
+def test_family_consumers_reject_a_family_that_does_not_match_the_metric():
+    """A family over other points than the metric's is refused with the
+    verifiers' message; unchecked, a 48-point family on 96 points read
+    unset position-table entries, and a query could return garbage."""
+    for fam, metric, message in mismatched_families():
+        for build in family_consumers(fam):
+            with pytest.raises(ValueError, match=message):
+                build(metric)
+
+
+def test_consumers_share_the_family_index(monkeypatch):
+    """The spanners, labels and verifiers built on one family all read its
+    one index; none derives positions or membership itself."""
+    rng = np.random.default_rng(41)
+    ps = PointSet(rng.uniform(size=(40, 2)))
+    metric = LpMetric(ps)
+    tri = build_triangle_lso_verified(ps, 2, 4.0, 0.5, seed=42)
+    perms, table = tri.perms, tri.table
+    sp, ft = pr_spanner_from_triangle(tri, metric), ft_spanner_from_family(tri, metric, 2)
+    assert sp.perms is perms and ft.perms is perms
+    assert sp.table is table and ft.table is table
+    labels, _ = assign_triangle_labels(tri, metric)
+    assert all(lab.positions.base is table for lab in labels.values())
+
+    seen = []
+
+    def spy(name):
+        real = getattr(orderings, name)
+
+        def wrapper(rows, *args):
+            seen.append(rows.base)
+            return real(rows, *args)
+
+        monkeypatch.setattr(orderings, name, wrapper)
+
+    spy("window_diameter_table")
+    spy("_classic_pair_ratio")
+    assert orderings.verify_triangle(tri, metric).passed
+    assert seen and all(base is perms for base in seen)
+    sub = PointSet(ps.points[:16])
+    grid = build_classic_grid_lso(sub, 0.2, seed=43)
+    seen.clear()
+    assert orderings.verify_classic(grid.family, LpMetric(sub)).passed
+    assert seen and all(base is grid.family.perms for base in seen)
+
+    g = random_tree(30, 44)
+    tree, tree_metric = build_rooted_lso_tree(g), shortest_path_metric(g)
+    rooted_sp = pr_spanner_from_rooted(tree, tree_metric)
+    rooted_ft = ft_spanner_from_family(tree, tree_metric, 1)
+    assert rooted_sp.membership is tree.membership and rooted_ft.membership is tree.membership
