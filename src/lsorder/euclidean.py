@@ -29,6 +29,7 @@ uncovered point, which is rejection from the old union down to the new one.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -420,68 +421,113 @@ class GridClassicLso:
         self.pair_lookup = pair_lookup
 
     def satisfying_ordering(self, x, y):
-        """Ordering index serving the pair (point ids)."""
-        if x == y or not self.shifts:
-            return 0  # a degenerate family is one ordering of identical points
-        # per shift, the deepest level at which x and y share a cell; the
-        # first deepest shift wins
-        xor = self.points_int[:, x] ^ self.points_int[:, y]
-        lvl = (GRID_BITS - floor_log2(2 * xor + 1)).min(axis=1)
-        sh = int(np.argmax(lvl))
-        if lvl[sh] == GRID_BITS:
-            return 0  # coincident points are adjacent in every grid ordering
-        key = _pair_key(self.points_int, sh, int(lvl[sh]), self.b, x, y)
-        return self.pair_lookup.get(key)
+        """Ordering index serving each pair (point ids x[i], y[i]): an int64
+        array with -1 where no pattern serves the pair; for one pair, an int
+        or None.  Coincident points, x == y included, are adjacent in every
+        grid ordering and get 0, as does every pair of a degenerate family
+        (one ordering of identical points)."""
+        xs, ys = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
+        out = np.zeros(xs.size, dtype=np.int64)
+        if self.shifts:
+            xs_flat, ys_flat = xs.ravel(), ys.ravel()
+            sh, lvl = _shared_levels(self.points_int, xs_flat, ys_flat)
+            split = np.flatnonzero(lvl < GRID_BITS)
+            sh, lvl = sh[split], lvl[split]
+            phase, a, bb = _pair_keys(self.points_int, self.b, xs_flat[split], ys_flat[split], sh, lvl)
+            get = self.pair_lookup.get
+            out[split] = [get(key, -1) for key in zip(sh.tolist(), phase.tolist(), a.tolist(), bb.tolist())]
+        if xs.ndim:
+            return out.reshape(xs.shape)
+        return None if out[0] < 0 else int(out[0])
 
 
-def _chunk_symbol(points_int, sh, pid, level_top, b):
-    """Symbol of the b-bit chunk below level_top (levels level_top+1..+b)."""
-    coords = points_int[sh][pid]
-    shift_amt = GRID_BITS - level_top - b
-    sym = 0
-    mask = (1 << b) - 1
-    for axis in range(coords.shape[0]):
-        sym |= (int(coords[axis]) >> shift_amt & mask) << (b * axis)
-    return sym
+def _shared_levels(points_int, xs, ys):
+    """Per pair (xs[i], ys[i]): the first shift in which the pair shares the
+    deepest grid cell, and that cell's level (GRID_BITS for coincident
+    points)."""
+    best_sh = np.zeros(xs.shape, dtype=np.int64)
+    best_lvl = np.full(xs.shape, -1, dtype=np.int64)
+    for sh, pi in enumerate(points_int):
+        lvl = (GRID_BITS - floor_log2(2 * (pi[xs] ^ pi[ys]) + 1)).min(axis=1)
+        deeper = lvl > best_lvl
+        best_sh[deeper] = sh
+        best_lvl[deeper] = lvl[deeper]
+    return best_sh, best_lvl
 
 
-def _pair_key(points_int, sh, lvl, b, x, y):
-    phase = lvl % b
-    a = _chunk_symbol(points_int, sh, x, lvl, b)
-    bb = _chunk_symbol(points_int, sh, y, lvl, b)
-    if a > bb:
-        a, bb = bb, a
-    return (sh, phase, a, bb)
+def _pair_keys(points_int, b, xs, ys, sh, lvl):
+    """Columns (phase, a, bb) of each pair's pattern key (sh, phase, a, bb):
+    the symbols a <= bb of the two points' b-bit chunks just below their
+    shared level lvl in shift sh, and phase = lvl mod b."""
+    shift_amt = GRID_BITS - lvl - b
+    if np.any(shift_amt < 0):
+        # the pair splits within the last b levels: no full chunk below it
+        raise ValueError("negative shift count")
+    coords = points_int[sh[:, None], np.stack([xs, ys], axis=1)]  # (pairs, 2, d)
+    chunk = (coords >> shift_amt[:, None, None]) & ((1 << b) - 1)
+    sym = np.bitwise_or.reduce(chunk << (b * np.arange(coords.shape[2])), axis=2)
+    return lvl % b, sym.min(axis=1), sym.max(axis=1)
 
 
 def _greedy_path_patterns(pairs):
-    """Decompose needed symbol pairs into simple paths (one per pattern)."""
-    remaining = set(pairs)
-    patterns = []
-    while remaining:
-        a, bmax = next(iter(remaining))
-        path = [a, bmax]
-        used = {a, bmax}
-        remaining.discard((a, bmax))
-        grew = True
-        while grew:
-            grew = False
-            for pair in list(remaining):
-                u, v = pair
-                if u == path[-1] and v not in used:
-                    path.append(v)
-                elif v == path[-1] and u not in used:
-                    path.append(u)
-                elif u == path[0] and v not in used:
-                    path.insert(0, v)
-                elif v == path[0] and u not in used:
-                    path.insert(0, u)
-                else:
-                    continue
-                used.update(pair)
-                remaining.discard(pair)
-                grew = True
+    """Decompose needed symbol pairs into simple paths, one pattern
+    {symbol: rank along the path} each.
+
+    The pairs are scanned in the slot order of set(pairs), which never
+    changes while pairs are only removed.  A path starts at the first unused
+    pair and grows by the first unused pair, in that order, that joins one
+    of its ends to a symbol not on it; per-symbol ascending slot lists find
+    that pair without rescanning the others.
+    """
+    slots = list(set(pairs))
+    incident = {}
+    for i, (u, v) in enumerate(slots):
+        incident.setdefault(u, []).append(i)
+        incident.setdefault(v, []).append(i)
+    unused = [True] * len(slots)
+    head = dict.fromkeys(incident, 0)  # incident[s][:head[s]] are all used
+
+    def next_slot(end, on_path, cursor):
+        """First unused slot joining end to a symbol off the path, else
+        None.  Within one path a slot once passed over stays unusable."""
+        lst = incident[end]
+        j = cursor.get(end)
+        if j is None:
+            j = head[end]
+            while j < len(lst) and not unused[lst[j]]:
+                j += 1
+            head[end] = j
+        while j < len(lst):
+            u, v = slots[lst[j]]
+            if unused[lst[j]] and (v if u == end else u) not in on_path:
                 break
+            j += 1
+        cursor[end] = j
+        return lst[j] if j < len(lst) else None
+
+    patterns = []
+    for first in range(len(slots)):
+        if not unused[first]:
+            continue
+        unused[first] = False
+        path = deque(slots[first])
+        on_path = set(path)
+        cursor = {}
+        while True:
+            at_tail = next_slot(path[-1], on_path, cursor)
+            at_head = next_slot(path[0], on_path, cursor)
+            if at_tail is None and at_head is None:
+                break
+            tail = at_head is None or (at_tail is not None and at_tail < at_head)
+            i = at_tail if tail else at_head
+            u, v = slots[i]
+            sym = v if u in on_path else u
+            if tail:
+                path.append(sym)
+            else:
+                path.appendleft(sym)
+            on_path.add(sym)
+            unused[i] = False
         patterns.append({sym: rank for rank, sym in enumerate(path)})
     return patterns
 
@@ -512,21 +558,10 @@ def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
         scaled = (norm[None, :, :] + np.array(shifts)[:, None, :]) / 2.0
         points_int = (scaled * (1 << GRID_BITS)).astype(np.int64)  # (shifts, n, d)
         # deepest common level per pair under its best shift
-        best_lvl = np.full((n, n), -1, dtype=np.int64)
-        best_sh = np.zeros((n, n), dtype=np.int64)
-        for sh in range(len(shifts)):
-            pi = points_int[sh]
-            lvl_pair = np.full((n, n), GRID_BITS, dtype=np.int64)
-            for axis in range(d):
-                xor = pi[:, axis][:, None] ^ pi[:, axis][None, :]
-                lvl_pair = np.minimum(lvl_pair, GRID_BITS - floor_log2(2 * xor + 1))
-            upd = lvl_pair > best_lvl
-            best_lvl[upd] = lvl_pair[upd]
-            best_sh[upd] = sh
+        xs, ys = np.triu_indices(n, k=1)
+        sh, lvl = _shared_levels(points_int, xs, ys)
         # chunk width: window diameter sqrt(d)*2^(1-(lvl+b)) must be <= eps*d(x,y)
-        iu = np.triu_indices(n, k=1)
-        dist = mat_norm[iu]
-        lvl = best_lvl[iu]
+        dist = mat_norm[xs, ys]
         positive = dist > 0
         need = np.log2(math.sqrt(d) * 2.0 / (eps * dist[positive])) - lvl[positive]
         b = max(1, int(math.ceil(need.max()))) if positive.any() else 1
@@ -534,37 +569,41 @@ def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
             raise ValueError(
                 f"grid LSO needs {b} bits/axis at d={d}; symbol table too large (eps too small)"
             )
-        needed = {}
-        for t_idx in range(iu[0].size):
-            x, y = int(iu[0][t_idx]), int(iu[1][t_idx])
-            if mat_norm[x, y] == 0.0:
-                continue
-            sh = int(best_sh[x, y])
-            key = _pair_key(points_int, sh, int(best_lvl[x, y]), b, x, y)
-            needed.setdefault((key[0], key[1]), set()).add((key[2], key[3]))
+        xs, ys, sh, lvl = xs[positive], ys[positive], sh[positive], lvl[positive]
+        keys = np.stack((sh, *_pair_keys(points_int, b, xs, ys, sh, lvl)), axis=1)
+        keys = keys[np.lexsort(keys.T[::-1])]
+        keys = keys[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]]  # sorted needed keys
+        starts = np.flatnonzero(np.r_[True, (keys[1:, :2] != keys[:-1, :2]).any(axis=1)])
         orderings = []
         perm_index = {}
         pair_lookup = {}
-        for (sh, phase), pairs in sorted(needed.items()):
-            patterns = _greedy_path_patterns(sorted(pairs))
+        groups = []
+        for lo, hi in zip(starts.tolist(), np.r_[starts[1:], len(keys)].tolist()):
+            sh, phase = keys[lo, :2].tolist()
+            pairs = list(map(tuple, keys[lo:hi, 2:].tolist()))
+            patterns = _greedy_path_patterns(pairs)
             chunks, full = _grid_chunks(points_int[sh], phase, b)
             for pattern in patterns:
                 perm = _materialize_grid_ordering(chunks, full, b * d, pattern)
-                tkey = tuple(perm)
-                if tkey not in perm_index:
-                    perm_index[tkey] = len(orderings)
+                idx = perm_index.setdefault(tuple(perm), len(orderings))
+                if idx == len(orderings):
                     orderings.append(Ordering(perm))
-                idx = perm_index[tkey]
-                for a, bb in pairs:
-                    if pattern.get(a) is not None and pattern.get(bb) is not None:
-                        if abs(pattern[a] - pattern[bb]) == 1:
-                            pair_lookup[(sh, phase, a, bb)] = idx
+                path = list(pattern)
+                for u, v in zip(path, path[1:]):
+                    pair_lookup[(sh, phase, min(u, v), max(u, v))] = idx
+            _, degree = np.unique(keys[lo:hi, 2:], return_counts=True)
+            groups.append(
+                {"shift": sh, "phase": phase, "pairs": hi - lo, "patterns": len(patterns),
+                 "max_degree": int(degree.max())}
+            )
         if not orderings:
             orderings = [Ordering(range(n))]
         fam = OrderingFamily(CLASSIC, orderings, rho=eps)
         fam.meta["construction"] = "shifted-grid"
         fam.meta["chunk_bits"] = b
         fam.meta["num_shifts"] = len(shifts)
+        fam.meta["groups"] = groups  # per (shift, phase): needed pairs, patterns, max symbol degree
+        fam.meta["walecki_cap"] = (1 << (b * d)) // 2  # Hamiltonian paths covering a group's pairs
         grid = GridClassicLso(fam, points_int, shifts, b, pair_lookup)
         report = verify_classic(fam, metric, hint=grid.satisfying_ordering)
         fam.meta["verification"] = report

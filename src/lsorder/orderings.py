@@ -12,7 +12,6 @@ all orderings).
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -122,25 +121,89 @@ class VerificationReport:
         )
 
 
-def _classic_pair_ratio(window, dx_row, dy_row):
-    """Smallest rho' such that the window splits into a prefix within
-    rho'*d of x and a suffix within rho'*d of y (distances given in units
-    of d(x,y))."""
-    if window.size == 0:
-        return 0.0
-    a = dx_row[window]
-    b = dy_row[window]
-    # prefix maxima of a, suffix maxima of b; best split minimizes the max
-    pref = np.concatenate(([0.0], np.maximum.accumulate(a)))
-    suf = np.concatenate((np.maximum.accumulate(b[::-1])[::-1], [0.0]))
-    return float(np.min(np.maximum(pref, suf)))
+# Window cells per numpy step of verify_classic: a handful of float64
+# temporaries of this many cells stay within a few MB.
+CLASSIC_CHUNK_CELLS = 1 << 15
+
+
+def _best_split(a, b):
+    """Per column, the min over splits j of max(max a[:j], max b[j:]) (empty
+    maxima 0), for (w, rows) arrays holding one window per column.  Zero
+    cells padded after a window change nothing: a split past the window
+    repeats the value of the split at its end.  The running maxima step
+    over the w window slots, each step one numpy call across all rows."""
+    w, rows = a.shape
+    pref = np.zeros((w + 1, rows))
+    suf = np.zeros((w + 1, rows))
+    for j in range(w):
+        np.maximum(pref[j], a[j], out=pref[j + 1])
+        np.maximum(suf[w - j], b[w - 1 - j], out=suf[w - 1 - j])
+    return np.maximum(pref, suf, out=pref).min(axis=0)
+
+
+def _classic_ratios(padded, perms, table, ks, xs, ys):
+    """Classic window ratio of each pair (xs[i], ys[i]) in ordering ks[i]:
+    the smallest rho' such that the points strictly between them split into
+    a prefix within rho'*d of one end and a suffix within rho'*d of the
+    other, either way round, where d = d(x, y).  At d = 0 it is 0 if every
+    window point coincides with x, else inf.
+
+    padded is the (n, n + 1) distance matrix with a zero column n appended,
+    read at the slots past a pair's window.  Pairs are taken in order of
+    window length and chunked, so each numpy step is as wide as its longest
+    window and holds a bounded number of cells.  The split is found in
+    distance units and divided by d once: x -> x / d is monotone in
+    floating point, so it commutes with max and min, and the ratio equals
+    the max/min over the per-point quotients bit for bit."""
+    n = perms.shape[1]
+    ix, iy = table[ks, xs] - 1, table[ks, ys] - 1
+    lo = np.minimum(ix, iy) + 1
+    length = np.abs(ix - iy) - 1
+    order = np.argsort(length, kind="stable")
+    out = np.empty(len(ks))
+    s = 0
+    while s < order.size:
+        widths = length[order[s : s + CLASSIC_CHUNK_CELLS]] + 1
+        cells = np.arange(1, widths.size + 1) * widths
+        rows = order[s : s + max(1, int(np.count_nonzero(cells <= CLASSIC_CHUNK_CELLS)))]
+        s += rows.size
+        slots = np.arange(length[rows[-1]])[:, None]
+        window = perms.take(np.minimum(lo[rows] + slots, n - 1) + ks[rows] * n)  # (slots, pairs)
+        window[slots >= length[rows]] = n
+        x, y = xs[rows], ys[rows]
+        to_x, to_y = padded.take(window + x * (n + 1)), padded.take(window + y * (n + 1))
+        d = padded[x, y]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # footnote orientation freedom: either end may take the prefix
+            ratio = np.minimum(_best_split(to_x, to_y), _best_split(to_y, to_x)) / d
+        same = d == 0.0
+        ratio[same] = np.where(to_x[:, same].max(axis=0, initial=0.0) > 0.0, math.inf, 0.0)
+        out[rows] = ratio
+    return out
+
+
+def _hint_orderings(hint, xs, ys, m):
+    """Per pair, the ordering the hint proposes to try first, or -1."""
+    h = None if hint is None else hint(xs, ys)
+    if h is None:
+        return np.full(xs.shape, -1, dtype=np.int64)
+    h = np.broadcast_to(np.asarray(h, dtype=np.int64), xs.shape)
+    if h.size and h.max() >= m:
+        raise ValueError(f"hint proposes ordering {int(h.max())}, but the family has tau = {m} orderings")
+    return h
 
 
 def verify_classic(fam, metric, hint=None):
     """Check Def-style classic windows for every pair, both orientations.
 
-    hint(x, y) may propose an ordering index to try first; it only reorders
-    the scan, never changes the outcome.
+    hint(xs, ys) is called once with every pair x < y in np.triu_indices
+    order and returns, per pair or as one value for all, the index of an
+    ordering to try first (None or negative: no proposal).  A pair's
+    reported ratio is the first certifying one in the scan -- the hinted
+    ordering, then the others in index order -- else its min over all
+    orderings, so the hint never changes which pairs pass.
+
+    The scan runs one ordering at a time over the pairs not yet certified.
     """
     if fam.kind != CLASSIC:
         raise ValueError("verify_classic expects a classic family")
@@ -151,42 +214,26 @@ def verify_classic(fam, metric, hint=None):
     bound = rho * (1 + VERIFY_TOL)
     perms, table = fam.perms, fam.table
     m = len(perms)
-    violations = []
-    max_stretch = 0.0
-    pairs = 0
-    for x in range(n):
-        for y in range(x + 1, n):
-            pairs += 1
-            d = mat[x, y]
-            best = math.inf
-            order_ids = range(m)
-            if hint is not None:
-                h = hint(x, y)
-                if h is not None:
-                    order_ids = chain((h,), (k for k in range(m) if k != h))
-            if d > 0.0:
-                dx_row = mat[x] / d
-                dy_row = mat[y] / d
-            for k in order_ids:
-                px, py = table[k, x], table[k, y]
-                lo, hi = (px, py) if px < py else (py, px)
-                window = perms[k, lo : hi - 1]
-                if d == 0.0:
-                    ratio = 0.0 if np.all(mat[x, window] == 0.0) else math.inf
-                else:
-                    first, second = (dx_row, dy_row) if px < py else (dy_row, dx_row)
-                    ratio = min(
-                        _classic_pair_ratio(window, first, second),
-                        # footnote orientation freedom: reversed assignment
-                        _classic_pair_ratio(window, second, first),
-                    )
-                best = min(best, ratio)
-                if best <= bound:
-                    break
-            max_stretch = max(max_stretch, min(best, 1e300))
-            if best > bound:
-                violations.append((x, y, best))
-    return VerificationReport(CLASSIC, rho, pairs, violations, max_stretch)
+    padded = np.zeros((n, n + 1))
+    padded[:, :n] = mat
+    xs, ys = np.triu_indices(n, k=1)
+    first = _hint_orderings(hint, xs, ys, m)
+    best = np.full(xs.size, math.inf)
+    hinted = np.flatnonzero(first >= 0)
+    best[hinted] = _classic_ratios(padded, perms, table, first[hinted], xs[hinted], ys[hinted])
+    live = np.flatnonzero(best > bound)
+    for k in range(m):
+        if not live.size:
+            break
+        rows = live[first[live] != k]
+        ratios = _classic_ratios(padded, perms, table, np.full(rows.size, k), xs[rows], ys[rows])
+        best[rows] = np.minimum(best[rows], ratios)
+        live = live[best[live] > bound]
+    violations = [
+        (int(xs[i]), int(ys[i]), float(best[i])) for i in np.flatnonzero(best > bound)
+    ]
+    max_stretch = float(np.minimum(best, 1e300).max(initial=0.0))
+    return VerificationReport(CLASSIC, rho, int(xs.size), violations, max_stretch)
 
 
 def window_diameter_table(perm, mat):

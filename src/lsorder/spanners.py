@@ -100,12 +100,20 @@ def two_hop_rows(perms, table, mat, a, b, midpoint):
         yield z, mat[a, z] + mat[z, b]
 
 
-def lightest_two_hop(perms, mat, u, v, mids):
-    """Lightest u-z-v path over the orderings, z = perms[k, mids[k] - 1]: the
-    path (z dropped when it is an endpoint) and its weight.  Ties go to the
-    first ordering; the zero diagonal makes mat[u, z] + mat[z, v] the
-    one-edge weight when z is an endpoint."""
-    z = perms[np.arange(len(perms)), mids - 1]
+def mid_offsets(perms):
+    """offsets[k] + l indexes position l (1-indexed) of ordering k in
+    perms.ravel()."""
+    m, n = perms.shape
+    return np.arange(m, dtype=np.int64) * n - 1
+
+
+def lightest_two_hop(perms, offsets, mat, u, v, mids):
+    """Lightest u-z-v path over the orderings, z = perms[k, mids[k] - 1]
+    (one flat gather through mid_offsets(perms)): the path (z dropped when
+    it is an endpoint) and its weight.  Ties go to the first ordering; the
+    zero diagonal makes mat[u, z] + mat[z, v] the one-edge weight when z is
+    an endpoint."""
+    z = perms.ravel()[offsets + mids]
     w = mat[u, z] + mat[z, v]
     best = int(np.argmin(w))
     zb = int(z[best])
@@ -129,6 +137,7 @@ class OrderingHopSpanner(PathReportingSpanner):
         self.mat = metric.matrix()
         self.hop = TwoHopPathSpanner(metric.n)
         self.perms, self.table = fam.perms, fam.table
+        self.offsets = mid_offsets(self.perms)
         mids_of = [self.hop.edges_of(pos) for pos in range(1, self.n + 1)]
         pos0 = np.asarray([i for i, mids in enumerate(mids_of) for _ in mids], dtype=np.int64)
         mid0 = np.asarray([l - 1 for mids in mids_of for l in mids], dtype=np.int64)
@@ -140,7 +149,7 @@ class OrderingHopSpanner(PathReportingSpanner):
             return [u], 0.0
         pu, pv = self.table[:, u], self.table[:, v]
         mids = self.hop.query_batch(np.minimum(pu, pv), np.maximum(pu, pv))
-        return lightest_two_hop(self.perms, self.mat, u, v, mids)
+        return lightest_two_hop(self.perms, self.offsets, self.mat, u, v, mids)
 
     def all_pairs_weights(self):
         """Vectorized min-over-orderings 2-hop weights for every pair."""
@@ -728,6 +737,7 @@ class FtOrderingSpanner(PathReportingSpanner):
             self.ft = FtTwoHopPathSpanner(metric.n, f)
             self.f = self.ft.f
             self.perms, self.table = fam.perms, fam.table
+            self.offsets = mid_offsets(self.perms)
             ends = np.asarray(list(self.ft.edges), dtype=np.int64).reshape(-1, 2) - 1
             self.add_ordering_edges(self.perms, ends[:, 0], ends[:, 1], self.mat)
             self.candidates = None  # residual_all_pairs_weights builds it
@@ -760,7 +770,7 @@ class FtOrderingSpanner(PathReportingSpanner):
             return best
         pu, pv = self.table[:, u], self.table[:, v]
         mids = self.ft.query_batch(np.minimum(pu, pv), np.maximum(pu, pv), self._fault_positions(F))
-        return lightest_two_hop(self.perms, self.mat, u, v, mids)
+        return lightest_two_hop(self.perms, self.offsets, self.mat, u, v, mids)
 
     def _fault_positions(self, F):
         """(m, |F|): the positions of F in each ordering, ascending per row."""

@@ -8,12 +8,13 @@ from lsorder.euclidean import (
     GRID_BITS,
     BallCarvingScheme,
     CoverageError,
+    GridClassicLso,
     _ball_torus_share,
+    _greedy_path_patterns,
     _grid_chunks,
     _lp_norms,
     _materialize_grid_ordering,
     _ordering_from_scheme,
-    _pair_key,
     _sample_covering_centers,
     build_classic_grid_lso,
     build_triangle_lso,
@@ -24,7 +25,7 @@ from lsorder.euclidean import (
     sample_scheme,
 )
 from lsorder.metrics import LpMetric, PointSet, floor_log2, lp_distance
-from lsorder.orderings import OrderingFamily, VerificationReport, verify_classic, verify_triangle
+from lsorder.orderings import Ordering, OrderingFamily, VerificationReport, verify_classic, verify_triangle
 from lsorder import euclidean, seeds
 
 
@@ -514,8 +515,6 @@ def test_grid_lso_line_sorted_is_half_lso():
     # sorted order on the line certifies rho = 1/2 (midpoint split)
     vals = np.linspace(0.0, 1.0, 17)
     ps = PointSet([[v] for v in vals])
-    from lsorder.orderings import Ordering
-
     fam = OrderingFamily("classic", [Ordering(range(17))], rho=0.5)
     assert verify_classic(fam, LpMetric(ps)).passed
 
@@ -563,6 +562,24 @@ def test_grid_lso_determinism():
     assert [o.perm for o in g1.family.orderings] == [o.perm for o in g2.family.orderings]
 
 
+def chunk_symbol(points_int, sh, pid, level_top, b):
+    """Reference: symbol of the b-bit chunk below level_top, one Python int
+    shift per axis (a negative shift count raises)."""
+    coords = points_int[sh][pid]
+    shift_amt = GRID_BITS - level_top - b
+    sym = 0
+    mask = (1 << b) - 1
+    for axis in range(coords.shape[0]):
+        sym |= (int(coords[axis]) >> shift_amt & mask) << (b * axis)
+    return sym
+
+
+def pair_key(points_int, sh, lvl, b, x, y):
+    a = chunk_symbol(points_int, sh, x, lvl, b)
+    bb = chunk_symbol(points_int, sh, y, lvl, b)
+    return (sh, lvl % b, min(a, bb), max(a, bb))
+
+
 def loop_satisfying_ordering(grid, x, y):
     """Reference hint: a Python loop over the shifts, one split level per
     shift, where only a strictly deeper level replaces the best shift."""
@@ -574,7 +591,85 @@ def loop_satisfying_ordering(grid, x, y):
         lvl = int((GRID_BITS - floor_log2(2 * xor + 1)).min())
         if lvl > best_lvl:
             best_sh, best_lvl = sh, lvl
-    return grid.pair_lookup.get(_pair_key(grid.points_int, best_sh, best_lvl, grid.b, x, y))
+    if best_lvl == GRID_BITS:
+        return 0
+    return grid.pair_lookup.get(pair_key(grid.points_int, best_sh, best_lvl, grid.b, x, y))
+
+
+def rescan_path_patterns(pairs):
+    """Reference greedy path cover: after each extension it rescans every
+    remaining pair, in the set's slot order, for one that joins a path end
+    to a symbol off the path."""
+    remaining = set(pairs)
+    patterns = []
+    while remaining:
+        a, bmax = next(iter(remaining))
+        path = [a, bmax]
+        used = {a, bmax}
+        remaining.discard((a, bmax))
+        grew = True
+        while grew:
+            grew = False
+            for pair in list(remaining):
+                u, v = pair
+                if u == path[-1] and v not in used:
+                    path.append(v)
+                elif v == path[-1] and u not in used:
+                    path.append(u)
+                elif u == path[0] and v not in used:
+                    path.insert(0, v)
+                elif v == path[0] and u not in used:
+                    path.insert(0, u)
+                else:
+                    continue
+                used.update(pair)
+                remaining.discard(pair)
+                grew = True
+                break
+        patterns.append({sym: rank for rank, sym in enumerate(path)})
+    return patterns
+
+
+@pytest.fixture(scope="module")
+def grid100():
+    ps = PointSet(np.random.default_rng(1).uniform(size=(100, 2)))
+    return build_classic_grid_lso(ps, 0.25, seed=1)
+
+
+def needed_pairs_by_group(grid):
+    """(shift, phase) -> sorted needed symbol pairs: every needed pair is
+    adjacent in exactly one pattern, so pair_lookup holds each once."""
+    groups = {}
+    for sh, phase, a, bb in grid.pair_lookup:
+        groups.setdefault((sh, phase), []).append((a, bb))
+    return {key: sorted(pairs) for key, pairs in sorted(groups.items())}
+
+
+def test_greedy_path_patterns_match_rescan(grid100):
+    groups = needed_pairs_by_group(grid100)
+    assert grid100.family.tau == 454 and len(groups) == len(grid100.family.meta["groups"])
+    for pairs in groups.values():
+        assert _greedy_path_patterns(pairs) == rescan_path_patterns(pairs)
+    # long paths through high-degree symbols, and isolated pairs
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 12, 60):
+        syms = rng.choice(1 << 10, size=size + 1, replace=False).tolist()
+        hub = rng.integers(0, size + 1, size=4 * size)
+        other = rng.integers(0, size + 1, size=4 * size)
+        pairs = sorted({(min(syms[u], syms[v]), max(syms[u], syms[v])) for u, v in zip(hub, other) if u != v})
+        assert _greedy_path_patterns(pairs) == rescan_path_patterns(pairs)
+
+
+def test_grid_meta_counts_groups(grid100):
+    meta = grid100.family.meta
+    groups = needed_pairs_by_group(grid100)
+    assert [(g["shift"], g["phase"]) for g in meta["groups"]] == list(groups)
+    assert [g["pairs"] for g in meta["groups"]] == [len(p) for p in groups.values()]
+    assert sum(g["patterns"] for g in meta["groups"]) >= grid100.family.tau
+    assert meta["walecki_cap"] == 2 ** (meta["chunk_bits"] * 2) // 2
+    for g in meta["groups"]:
+        # each path covers at most two of a symbol's pairs
+        assert g["patterns"] >= -(-g["max_degree"] // 2)
 
 
 def grid_with_extra_round(monkeypatch, ps, eps, seed):
@@ -600,8 +695,9 @@ def grid_with_extra_round(monkeypatch, ps, eps, seed):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("extra_round", [False, True])
 def test_grid_hint_matches_shift_loop(monkeypatch, d, extra_round):
-    n = 24
-    ps = PointSet(np.random.default_rng(40 + d).uniform(size=(n, d)))
+    pts = np.random.default_rng(40 + d).uniform(size=(24, d))
+    ps = PointSet(np.vstack([pts, pts[:3]]))  # three coincident pairs
+    n = ps.n
     if extra_round:
         grid = grid_with_extra_round(monkeypatch, ps, 0.25, seed=41 + d)
         assert len(grid.shifts) == 2 * d + 2
@@ -609,11 +705,46 @@ def test_grid_hint_matches_shift_loop(monkeypatch, d, extra_round):
         grid = build_classic_grid_lso(ps, 0.25, seed=41 + d)
         assert len(grid.shifts) == 2 * d + 1
     assert grid.points_int.shape == (len(grid.shifts), n, d)
+    expected = np.empty((n, n), dtype=np.int64)
     for x in range(n):
         for y in range(n):
             k = grid.satisfying_ordering(x, y)
             assert k is not None
             assert k == loop_satisfying_ordering(grid, x, y)
+            expected[x, y] = k
+    xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    got = grid.satisfying_ordering(xs, ys)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+    assert np.array_equal(grid.satisfying_ordering(np.arange(n), 5), expected[:, 5])
+    assert grid.satisfying_ordering(np.arange(0), np.arange(0)).shape == (0,)
+    assert expected[0, n - 3] == expected[2, n - 1] == 0
+
+
+def test_grid_hint_marks_unserved_pairs():
+    grid = build_classic_grid_lso(PointSet(np.random.default_rng(43).uniform(size=(12, 2))), 0.25, seed=44)
+    grid.pair_lookup.pop(next(iter(grid.pair_lookup)))
+    xs, ys = np.triu_indices(12, k=1)
+    got = grid.satisfying_ordering(xs, ys)
+    ref = [loop_satisfying_ordering(grid, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert got.tolist() == [-1 if k is None else k for k in ref]
+    assert ref.count(None) >= 1
+    x, y = xs[got < 0][0], ys[got < 0][0]
+    assert grid.satisfying_ordering(x, y) is None
+
+
+def test_grid_hint_negative_shift_count_raises():
+    # points 1 apart split at level GRID_BITS - 1, above which no full
+    # b-bit chunk fits; the shift must raise, not wrap
+    points_int = np.array([[[1 << 40], [(1 << 40) + 1], [0]]], dtype=np.int64)
+    fam = OrderingFamily("classic", [Ordering(range(3))], rho=0.25)
+    grid = GridClassicLso(fam, points_int, [np.zeros(1)], 3, {})
+    with pytest.raises(ValueError, match="negative shift count"):
+        grid.satisfying_ordering(0, 1)
+    with pytest.raises(ValueError, match="negative shift count"):
+        grid.satisfying_ordering(np.array([0, 0]), np.array([2, 1]))
+    with pytest.raises(ValueError, match="negative shift count"):
+        pair_key(points_int, 0, GRID_BITS - 1, 3, 0, 1)
+    assert grid.satisfying_ordering(0, 2) is None
 
 
 def test_grid_lso_duplicate_points():
@@ -623,6 +754,7 @@ def test_grid_lso_duplicate_points():
     grid = build_classic_grid_lso(PointSet(pts), eps=0.25, seed=0)
     assert grid.family.meta["verification"].passed
     assert grid.satisfying_ordering(0, 1) == 0 and grid.satisfying_ordering(2, 4) == 0
+    assert grid.satisfying_ordering(np.array([0, 2]), np.array([1, 4])).tolist() == [0, 0]
     assert verify_classic(grid.family, LpMetric(PointSet(pts))).passed
 
 

@@ -21,7 +21,14 @@ from lsorder.nns import (
     assign_rooted_labels,
     assign_triangle_labels,
 )
-from lsorder.orderings import build_rooted_lso_tree, verify_classic, verify_family
+from lsorder.orderings import (
+    CLASSIC,
+    Ordering,
+    OrderingFamily,
+    build_rooted_lso_tree,
+    verify_classic,
+    verify_family,
+)
 from lsorder.spanners import (
     ft_spanner_from_family,
     pr_spanner_from_classic,
@@ -54,6 +61,9 @@ GOLDEN = {
     "tree.labels": "cdd66898441f833533b2cd5c54f8f21de36364cdb931efba4563ec398af75309",
     "tree.nns": "8b469fd3c900467838197491fd6262e5669bf76bc5938d75851b1e09b15a2ae4",
     "grid.oracle": "2d2988a3b5350f36ba06be89a0a0705269f091a0a7e9917377266c723f983bb8",
+    "grid100.family": "87015d0a50dd5ab85191349ef036439b7ca6c53eb0da86fb50b7070b1a9d79c4",
+    "grid100.verify": "6b5ff9b48bbb58ac72ae8f11fe542dfad7f04ccba11fd4e574f1eb4dd5827ea0",
+    "random.verify": "9fae5ecd0e3c011e3b24803218926df57b70da33bea1633a5ccf2e576499cca0",
     "triangle.oracle": "b1199dbf266be1f76de78698c362608329b5193b5a7ba4703d585f5adf99d6ef",
     "tree.spd": "1d2213a553ca18a7239f319dfbaa53c009cce07969c1979e1ac4a47165fd5d23",
 }
@@ -172,6 +182,19 @@ def outputs():
     out["grid.pr"] = _pr(pr_spanner_from_classic(grid.family, sub_metric))
     out["grid.ft"] = _ft(ft_spanner_from_family(grid.family, sub_metric, 1), 22)
     out["grid.oracle"] = _digest(_oracle(spanner_oracle_classic(grid.family, sub_metric), sub.n, 42))
+
+    # a grid large enough that the greedy path cover handles long paths
+    # (tau = 454), and a random classic family that fails the verifier
+    big = PointSet(np.random.default_rng(1).uniform(size=(100, 2)))
+    big_grid = build_classic_grid_lso(big, 0.25, seed=1)
+    out["grid100.family"] = _family(big_grid.family)
+    out["grid100.verify"] = _report(
+        verify_classic(big_grid.family, LpMetric(big), hint=big_grid.satisfying_ordering)
+    )
+    rand_rng = np.random.default_rng(7)
+    rand_ps = PointSet(rand_rng.uniform(size=(40, 2)))
+    rand = OrderingFamily(CLASSIC, [Ordering(rand_rng.permutation(40)) for _ in range(3)], rho=0.25)
+    out["random.verify"] = _report(verify_classic(rand, LpMetric(rand_ps)))
 
     centers = rng.uniform(size=(3, 2))
     blobs = PointSet(centers[rng.integers(0, 3, size=30)] + rng.normal(scale=0.05, size=(30, 2)))

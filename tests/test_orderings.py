@@ -1,13 +1,20 @@
+import math
+from itertools import chain
+
 import numpy as np
 import pytest
 
 from lsorder.doubling import build_ultrametric_cover, cover_preorder_to_triangle_lso
-from lsorder.euclidean import build_triangle_lso
+from lsorder import orderings
+from lsorder.euclidean import build_classic_grid_lso, build_triangle_lso
 from lsorder.metrics import LpMetric, MatrixMetric, PointSet, WeightedGraph, shortest_path_metric
 from lsorder.orderings import (
+    CLASSIC,
+    VERIFY_TOL,
     Ordering,
     OrderingFamily,
     TreeDecomposition,
+    VerificationReport,
     _report_from_best,
     build_rooted_lso_tree,
     build_rooted_lso_treewidth,
@@ -89,6 +96,121 @@ def test_classic_hint_does_not_change_outcome():
     rep_plain = verify_classic(fam, m)
     rep_hint = verify_classic(fam, m, hint=lambda x, y: 1)
     assert rep_plain.passed == rep_hint.passed
+
+
+def classic_pair_ratio(window, dx_row, dy_row):
+    """Smallest rho' such that the window splits into a prefix within
+    rho'*d of x and a suffix within rho'*d of y (distances given in units
+    of d(x,y))."""
+    if window.size == 0:
+        return 0.0
+    a = dx_row[window]
+    b = dy_row[window]
+    pref = np.concatenate(([0.0], np.maximum.accumulate(a)))
+    suf = np.concatenate((np.maximum.accumulate(b[::-1])[::-1], [0.0]))
+    return float(np.min(np.maximum(pref, suf)))
+
+
+def verify_classic_loop(fam, metric, hint=None):
+    """Reference: a Python loop over the pairs, each scanning its hinted
+    ordering (hint(x, y) per pair; None or negative: none) and then the rest
+    in index order until one certifies."""
+    n = metric.n
+    mat = metric.matrix()
+    bound = fam.rho * (1 + VERIFY_TOL)
+    perms, table = fam.perms, fam.table
+    m = len(perms)
+    violations = []
+    max_stretch = 0.0
+    pairs = 0
+    for x in range(n):
+        for y in range(x + 1, n):
+            pairs += 1
+            d = mat[x, y]
+            best = math.inf
+            order_ids = range(m)
+            h = None if hint is None else hint(x, y)
+            if h is not None and h >= 0:
+                order_ids = chain((h,), (k for k in range(m) if k != h))
+            if d > 0.0:
+                dx_row = mat[x] / d
+                dy_row = mat[y] / d
+            for k in order_ids:
+                px, py = table[k, x], table[k, y]
+                lo, hi = (px, py) if px < py else (py, px)
+                window = perms[k, lo : hi - 1]
+                if d == 0.0:
+                    ratio = 0.0 if np.all(mat[x, window] == 0.0) else math.inf
+                else:
+                    first, second = (dx_row, dy_row) if px < py else (dy_row, dx_row)
+                    ratio = min(
+                        classic_pair_ratio(window, first, second),
+                        classic_pair_ratio(window, second, first),
+                    )
+                best = min(best, ratio)
+                if best <= bound:
+                    break
+            max_stretch = max(max_stretch, min(best, 1e300))
+            if best > bound:
+                violations.append((x, y, best))
+    return VerificationReport(CLASSIC, fam.rho, pairs, violations, max_stretch)
+
+
+def same_report(got, ref):
+    assert got.pairs_checked == ref.pairs_checked
+    assert got.violations == ref.violations
+    assert all(type(v) is int for x, y, _ in got.violations for v in (x, y))
+    assert all(type(r) is float for _, _, r in got.violations)
+    assert type(got.max_observed_stretch) is float
+    assert got.max_observed_stretch == ref.max_observed_stretch
+
+
+@pytest.mark.parametrize("chunk_cells", [orderings.CLASSIC_CHUNK_CELLS, 64])
+def test_classic_verify_matches_loop_reference(monkeypatch, chunk_cells):
+    monkeypatch.setattr(orderings, "CLASSIC_CHUNK_CELLS", chunk_cells)  # 64: many steps
+    rng = np.random.default_rng(6)
+    checked = failed = 0
+    for trial in range(24):
+        n = int(rng.integers(2, 26))
+        pts = rng.uniform(size=(n, 2))
+        if trial % 3 == 0:
+            pts[rng.integers(0, n, size=n // 3)] = pts[0]  # duplicate points
+        metric = LpMetric(PointSet(pts))
+        m = int(rng.choice([1, 2, 5]))
+        perms = [rng.permutation(n) for _ in range(m)]
+        if trial % 4 == 1:
+            perms[-1] = np.lexsort(pts.T[::-1])  # sorted by x: certifies more pairs
+        fam = OrderingFamily("classic", [Ordering(p) for p in perms], rho=float(rng.choice([0.25, 0.5, 1.0])))
+
+        def per_pair(x, y, m=m):
+            return (7 * x + 3 * y) % (m + 1) - 1  # -1 .. m-1, scalar or array
+
+        for hint in (None, lambda x, y: None, lambda x, y: 0, lambda x, y: m - 1, lambda x, y: -1, per_pair):
+            ref = verify_classic_loop(fam, metric, hint)
+            same_report(verify_classic(fam, metric, hint=hint), ref)
+            checked += 1
+            failed += not ref.passed
+    assert failed and failed < checked  # both outcomes occur
+
+
+def test_classic_verify_matches_loop_reference_on_grid():
+    ps = PointSet(np.random.default_rng(8).uniform(size=(30, 2)))
+    grid = build_classic_grid_lso(ps, 0.25, seed=9)
+    metric = LpMetric(ps)
+    ref = verify_classic_loop(grid.family, metric, grid.satisfying_ordering)
+    assert ref.passed
+    same_report(verify_classic(grid.family, metric, hint=grid.satisfying_ordering), ref)
+    same_report(verify_classic(grid.family, metric), verify_classic_loop(grid.family, metric))
+
+
+def test_classic_hint_out_of_range_names_index():
+    m = line_metric([0.0, 1.0, 3.0])
+    fam = OrderingFamily("classic", [Ordering([0, 1, 2]), Ordering([2, 1, 0])], rho=0.5)
+    with pytest.raises(ValueError, match="ordering 5.*tau = 2"):
+        verify_classic(fam, m, hint=lambda x, y: 5)
+    with pytest.raises(ValueError, match="ordering 2.*tau = 2"):
+        verify_classic(fam, m, hint=lambda x, y: np.where(x == 0, 2, 0))
+    assert verify_classic(fam, m, hint=lambda x, y: -3).passed
 
 
 def window_diameter_naive(perm, mat, i, j):

@@ -853,14 +853,20 @@ def test_consumers_share_the_family_index(monkeypatch):
         monkeypatch.setattr(orderings, name, wrapper)
 
     spy("window_diameter_table")
-    spy("_classic_pair_ratio")
     assert orderings.verify_triangle(tri, metric).passed
     assert seen and all(base is perms for base in seen)
     sub = PointSet(ps.points[:16])
     grid = build_classic_grid_lso(sub, 0.2, seed=43)
     seen.clear()
+    real_ratios = orderings._classic_ratios
+
+    def ratios_spy(padded, fam_perms, fam_table, *args):
+        seen.append((fam_perms, fam_table))
+        return real_ratios(padded, fam_perms, fam_table, *args)
+
+    monkeypatch.setattr(orderings, "_classic_ratios", ratios_spy)
     assert orderings.verify_classic(grid.family, LpMetric(sub)).passed
-    assert seen and all(base is grid.family.perms for base in seen)
+    assert seen and all(p is grid.family.perms and t is grid.family.table for p, t in seen)
 
     g = random_tree(30, 44)
     tree, tree_metric = build_rooted_lso_tree(g), shortest_path_metric(g)
