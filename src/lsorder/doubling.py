@@ -21,6 +21,13 @@ from . import seeds
 from .metrics import MatrixMetric, build_epsilon_net, min_max_pairwise
 from .orderings import TRIANGLE, Ordering, OrderingFamily
 
+# build_padded_partition_cover adds at most this many partitions;
+# build_ultrametric_cover resamples at most COVER_ROUNDS times, with the
+# scale-ladder slack COVER_EPS
+MAX_PARTITIONS = 64
+COVER_ROUNDS = 6
+COVER_EPS = 0.25
+
 
 @dataclass
 class Partition:
@@ -77,7 +84,7 @@ def carve_partition(metric, delta, rng):
     return Partition(assignment=assignment, delta=float(delta))
 
 
-def build_padded_partition_cover(metric, delta, t, seed, max_partitions=64, min_partitions=1):
+def build_padded_partition_cover(metric, delta, t, seed, min_partitions=1):
     """Partitions are added with fresh seeds until every point's Delta/t-ball
     is inside one cluster of one partition; tau is an output."""
     if delta <= 0:
@@ -89,7 +96,7 @@ def build_padded_partition_cover(metric, delta, t, seed, max_partitions=64, min_
     pad = delta / t
     padded = np.zeros(n, dtype=bool)
     partitions = []
-    for round_idx in range(max_partitions):
+    for round_idx in range(MAX_PARTITIONS):
         if padded.all() and len(partitions) >= min_partitions:
             break
         rng = seeds.rng_for(seed, "padded-cover", round_idx)
@@ -104,7 +111,7 @@ def build_padded_partition_cover(metric, delta, t, seed, max_partitions=64, min_
     if not padded.all():
         worst = int(np.nonzero(~padded)[0][0])
         raise RuntimeError(
-            f"padding failed after {max_partitions} partitions; worst point {worst}"
+            f"padding failed after {MAX_PARTITIONS} partitions; worst point {worst}"
         )
     return PaddedPartitionCover(partitions=partitions)
 
@@ -309,7 +316,7 @@ class UltrametricCover:
         return out
 
 
-def build_ultrametric_cover(metric, t, eps=0.25, seed=0, max_rounds=6):
+def build_ultrametric_cover(metric, t, seed=0):
     """Dominating ultrametric cover with min-over-HSTs stretch <= t.
 
     Internally rescales so the minimum distance is 1 (labels scaled back),
@@ -318,8 +325,7 @@ def build_ultrametric_cover(metric, t, eps=0.25, seed=0, max_rounds=6):
     collects the HSTs.  The chain-minimum stretch is checked on the input;
     on failure everything is resampled with a fresh derived seed.
     """
-    if not (0 < eps <= 0.25):
-        raise ValueError("eps must be in (0, 1/4]")
+    eps = COVER_EPS
     if t < 4:
         raise ValueError(
             f"stretch target {t} too small: Delta/4-net carving cannot pad below Delta/4"
@@ -333,7 +339,7 @@ def build_ultrametric_cover(metric, t, eps=0.25, seed=0, max_rounds=6):
     ratio = 4 * rho_pad / eps
     num_shifts = int(math.floor(math.log(ratio) / math.log(1 + eps))) + 1
     worst = None
-    for round_idx in range(max_rounds):
+    for round_idx in range(COVER_ROUNDS):
         hsts = []
         for l in range(num_shifts):
             c = (1 + eps) ** l
@@ -365,7 +371,7 @@ def build_ultrametric_cover(metric, t, eps=0.25, seed=0, max_rounds=6):
             cover.rounds = round_idx + 1
             return cover
     raise RuntimeError(
-        f"ultrametric cover stretch {worst:.4g} still above {t} after {max_rounds} rounds"
+        f"ultrametric cover stretch {worst:.4g} still above {t} after {COVER_ROUNDS} rounds"
     )
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .metrics import LpMetric, PointSet, floor_log2, min_max_pairwise
+from .metrics import LpMetric, PointSet, floor_log2, lp_norms, min_max_pairwise
 from .orderings import CLASSIC, TRIANGLE, Ordering, OrderingFamily, verify_classic, verify_triangle
 
 
@@ -55,14 +55,6 @@ def sample_lp_ball(rng, count, dim, p):
     e = rng.exponential(size=count)
     denom = ((np.abs(g) ** p).sum(axis=1) + e) ** (1.0 / p)
     return g / denom[:, None]
-
-
-def _lp_norms(diff, p):
-    if p == 2:
-        return np.sqrt((diff * diff).sum(axis=-1))
-    if p == 1:
-        return np.abs(diff).sum(axis=-1)
-    return (np.abs(diff) ** p).sum(axis=-1) ** (1.0 / p)
 
 
 @dataclass
@@ -219,7 +211,7 @@ def _sample_covering_centers(eff, w, p, rng):
         counts["proposals"] += batch
         diff = sub[None, :, :] - cand[:, None, :]
         u = np.rint(diff / period)
-        covered_mask = _lp_norms(diff - period * u, p) <= w
+        covered_mask = lp_norms(diff - period * u, p) <= w
         if torus:
             passed = covered_mask.any(axis=1)
         else:
@@ -319,7 +311,11 @@ def default_ordering_count(n, d, p, t):
     return max(1, math.ceil(d ** (1.0 / p) / t * math.exp(d / (2.0 * t**p)) * math.log(max(n, 2))))
 
 
-def build_triangle_lso_verified(ps, p, t, delta, seed=0, max_doublings=6):
+# build_triangle_lso_verified doubles the ordering count at most this often
+MAX_DOUBLINGS = 6
+
+
+def build_triangle_lso_verified(ps, p, t, delta, seed=0):
     """Doubling loop: start at the default m, verify on the input, double m
     with fresh seeds until the verifier passes."""
     if isinstance(ps, (np.ndarray, list)):
@@ -327,7 +323,7 @@ def build_triangle_lso_verified(ps, p, t, delta, seed=0, max_doublings=6):
     metric = LpMetric(ps, p)
     m = default_ordering_count(len(ps.points), ps.dim, p, t)
     last = None
-    for attempt in range(max_doublings + 1):
+    for attempt in range(MAX_DOUBLINGS + 1):
         fam = build_triangle_lso(ps, p, t, delta, m=m, seed=seeds.derive(seed, "attempt", attempt))
         report = verify_triangle(fam, metric)
         fam.meta["attempts"] = attempt + 1
@@ -337,7 +333,7 @@ def build_triangle_lso_verified(ps, p, t, delta, seed=0, max_doublings=6):
         last = report
         m *= 2
     raise RuntimeError(
-        f"triangle LSO failed verification after {max_doublings} doublings "
+        f"triangle LSO failed verification after {MAX_DOUBLINGS} doublings "
         f"(max stretch {last.max_observed_stretch:.4g} vs rho {last.rho:.4g})"
     )
 
@@ -385,7 +381,7 @@ def estimate_volume_ratio(d, radius, separation, p=2, samples=1_000_000, seed=0)
         # distance to the other ball's center decides multiplicity
         other = pts.copy()
         other[side == 0] -= offset  # their other center sits at (separation, 0, ...)
-        in_other = _lp_norms(other, p) <= radius  # side==1 rows measure against the origin
+        in_other = lp_norms(other, p) <= radius  # side==1 rows measure against the origin
         keep = ~in_other | (rng.random(b) < 0.5)
         inter += int(np.sum(in_other & keep))
         union += int(np.sum(keep))
@@ -400,6 +396,9 @@ def estimate_volume_ratio(d, radius, separation, p=2, samples=1_000_000, seed=0)
 # Grid coordinates and their xors stay below 2^GRID_BITS, so for a xor v,
 # 2v + 1 fits in int64 and floor_log2(2v + 1) is v's bit length (0 at v = 0).
 GRID_BITS = 60
+
+# build_classic_grid_lso adds a random shift and rebuilds at most this often
+GRID_ROUNDS = 6
 
 
 class GridClassicLso:
@@ -532,7 +531,7 @@ def _greedy_path_patterns(pairs):
     return patterns
 
 
-def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
+def build_classic_grid_lso(ps, eps, seed=0):
     """Shifted hierarchical grid family passing verify_classic at rho = eps."""
     if isinstance(ps, (np.ndarray, list)):
         ps = PointSet(ps)
@@ -554,7 +553,7 @@ def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
     num_base_shifts = 2 * d + 1
     rng = seeds.rng_for(seed, "grid-extra-shifts")
     shifts = [np.full(d, j / num_base_shifts) for j in range(num_base_shifts)]
-    for round_idx in range(max_rounds):
+    for round_idx in range(GRID_ROUNDS):
         scaled = (norm[None, :, :] + np.array(shifts)[:, None, :]) / 2.0
         points_int = (scaled * (1 << GRID_BITS)).astype(np.int64)  # (shifts, n, d)
         # deepest common level per pair under its best shift
@@ -611,7 +610,7 @@ def build_classic_grid_lso(ps, eps, seed=0, max_rounds=6):
             return grid
         # add a fresh random diagonal shift and retry
         shifts.append(rng.uniform(0.0, 1.0, size=1).repeat(d))
-    raise RuntimeError(f"grid LSO failed verification after {max_rounds} rounds")
+    raise RuntimeError(f"grid LSO failed verification after {GRID_ROUNDS} rounds")
 
 
 def _chunk_column(pi, shift_amt, width):

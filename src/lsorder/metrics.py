@@ -34,25 +34,31 @@ class PointSet:
         return self.n
 
 
-def lp_distance(x, y, p):
-    """lp norm of x - y; p may be any real >= 1 or math.inf.
+def lp_norms(diff, p):
+    """lp norms over the last axis of a difference array; p may be any real
+    >= 1 or math.inf.
 
     p = inf is a distinct branch (max coordinate gap), never a large finite p.
     """
+    if p == 2:
+        return np.sqrt((diff * diff).sum(axis=-1))
+    diff = np.abs(diff)
+    if p == math.inf:
+        return diff.max(axis=-1, initial=0.0)
+    if p == 1:
+        return diff.sum(axis=-1)
+    return (diff**p).sum(axis=-1) ** (1.0 / p)
+
+
+def lp_distance(x, y, p):
+    """lp norm of x - y (lp_norms of one difference vector)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     if p != math.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    diff = np.abs(x - y)
-    if p == math.inf:
-        return float(diff.max()) if diff.size else 0.0
-    if p == 2:
-        return float(np.sqrt(np.sum(diff * diff)))
-    if p == 1:
-        return float(np.sum(diff))
-    return float(np.sum(diff**p) ** (1.0 / p))
+    return float(lp_norms(x - y, p))
 
 
 class Metric:
@@ -89,7 +95,7 @@ class LpMetric(Metric):
             rows = max(1, MATRIX_BLOCK_FLOATS // max(1, n * d))
             mat = np.empty((n, n))
             for lo in range(0, n, rows):
-                mat[lo : lo + rows] = _lp_rows(pts[lo : lo + rows], pts, self.p)
+                mat[lo : lo + rows] = lp_norms(pts[lo : lo + rows, None, :] - pts[None, :, :], self.p)
             self._mat = mat
         return self._mat
 
@@ -97,18 +103,6 @@ class LpMetric(Metric):
 # Row blocks of LpMetric.matrix hold about this many float64 differences
 # (16 MB); the rows of one block do not depend on the others.
 MATRIX_BLOCK_FLOATS = 1 << 21
-
-
-def _lp_rows(rows, pts, p):
-    """lp distances from each of `rows` to every point of `pts`."""
-    diff = np.abs(rows[:, None, :] - pts[None, :, :])
-    if p == math.inf:
-        return diff.max(axis=2)
-    if p == 2:
-        return np.sqrt((diff * diff).sum(axis=2))
-    if p == 1:
-        return diff.sum(axis=2)
-    return (diff**p).sum(axis=2) ** (1.0 / p)
 
 
 class MatrixMetric(Metric):
@@ -246,20 +240,19 @@ def floor_log2(v):
     return k
 
 
-def graph_distances(g, sources=None):
-    """Exact shortest-path distances from each source (default: all vertices).
+def graph_distances(g):
+    """Exact shortest-path distances between all vertices.
 
     Raises on disconnected input, naming an unreachable vertex.
     """
     adj = g.adjacency()
-    sources = list(range(g.n)) if sources is None else list(sources)
-    out = np.empty((len(sources), g.n))
-    for row, s in enumerate(sources):
+    out = np.empty((g.n, g.n))
+    for s in range(g.n):
         dist = dijkstra(adj, s)
         for v, dv in enumerate(dist):
             if math.isinf(dv):
                 raise ValueError(f"graph is disconnected: vertex {v} unreachable from {s}")
-        out[row] = dist
+        out[s] = dist
     return out
 
 

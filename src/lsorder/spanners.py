@@ -3,7 +3,8 @@ oracles built from ordering families; plus the Thorup-Zwick and sparse-cover
 constructions for general metrics and the SPD/landmark spanner for graphs.
 
 Every spanner stores true metric edge weights and answers queries with an
-explicit path whose edges are present in the edge set.  Every structure
+explicit path whose edges are present in the edge set; every 2-hop answer
+is one two_hop_path, weighed through the zero diagonal.  Every structure
 built on an ordering family reads the family's own index and derives none:
 the two ordering spanners (plain and fault-tolerant, classic or triangle
 family) and the oracles read its (m, n) permutation stack perms and its
@@ -17,6 +18,11 @@ on, a fault-free candidate table of every pair's midpoint in every ordering
 (4*m*P + 16*P bytes over the P = n(n-1)/2 pairs; a ValueError above
 TABLE_CAP_BYTES), and a call recomputes only the rows whose midpoint is a
 fault.
+
+The rooted structures -- plain, fault-tolerant, and each SPD level's family
+on landmark copies -- keep heads per ordering (the root, or the first f+1
+members), join every member to each head (add_head_edges) and answer by one
+rule (shared_two_hop).
 """
 
 import math
@@ -77,6 +83,14 @@ class PathReportingSpanner:
             keys = zip(lo[first].tolist(), hi[first].tolist())
             self.edges.update(zip(keys, mat[u[first], v[first]].tolist()))
 
+    def add_head_edges(self, members, heads, mat):
+        """add_edge(p, z, mat[p, z]) for each ordering in turn, each of its
+        heads z and each of its members p."""
+        for perm, hs in zip(members, heads):
+            for z in hs:
+                for p in perm:
+                    self.add_edge(p, z, mat[p, z])
+
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
 
@@ -107,17 +121,39 @@ def mid_offsets(perms):
     return np.arange(m, dtype=np.int64) * n - 1
 
 
+def two_hop_path(mat, u, z, v):
+    """The u-z-v path, z dropped when it is an endpoint, and its weight
+    mat[u, z] + mat[z, v] (by the zero diagonal, the one edge's weight then)."""
+    return [u] + ([z] if z != u and z != v else []) + [v], float(mat[u, z] + mat[z, v])
+
+
 def lightest_two_hop(perms, offsets, mat, u, v, mids):
     """Lightest u-z-v path over the orderings, z = perms[k, mids[k] - 1]
-    (one flat gather through mid_offsets(perms)): the path (z dropped when
-    it is an endpoint) and its weight.  Ties go to the first ordering; the
-    zero diagonal makes mat[u, z] + mat[z, v] the one-edge weight when z is
-    an endpoint."""
+    (one flat gather through mid_offsets(perms)); ties go to the first
+    ordering."""
     z = perms.ravel()[offsets + mids]
     w = mat[u, z] + mat[z, v]
-    best = int(np.argmin(w))
-    zb = int(z[best])
-    return [u] + ([zb] if zb not in (u, v) else []) + [v], float(w[best])
+    return two_hop_path(mat, u, int(z[int(np.argmin(w))]), v)
+
+
+def shared_two_hop(mat, membership, heads, u, v, keys=None, faults=()):
+    """The rooted 2-hop rule: over the orderings holding both keys (default
+    (u, v); membership maps a key to its ascending ordering ids), the
+    lightest u-z-v path through z, the first of the ordering's heads that is
+    not a fault; ties go to the first ordering.  None when no ordering
+    serves the pair."""
+    ku, kv = (u, v) if keys is None else keys
+    shared = membership.get(kv, ())
+    best = bw = None
+    for k in membership.get(ku, ()):
+        if k in shared:
+            for z in heads[k]:
+                if z not in faults:
+                    w = mat[u, z] + mat[z, v]
+                    if best is None or w < bw:
+                        best, bw = z, w
+                    break
+    return None if best is None else two_hop_path(mat, u, best, v)
 
 
 def _check_ids(n, ids):
@@ -144,7 +180,8 @@ class OrderingHopSpanner(PathReportingSpanner):
         self.add_ordering_edges(self.perms, pos0, mid0, self.mat)
 
     def query(self, u, v):
-        _check_ids(self.n, (u, v))
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            _check_ids(self.n, (u, v))
         if u == v:
             return [u], 0.0
         pu, pv = self.table[:, u], self.table[:, v]
@@ -176,8 +213,8 @@ def pr_spanner_from_triangle(fam, metric):
 
 
 class RootedHopSpanner(PathReportingSpanner):
-    """2-hop spanner from a rooted family: every member connects to its
-    ordering's root; queries go through the best shared root."""
+    """2-hop spanner from a rooted family: the root is its ordering's one
+    head; queries go through the best shared root."""
 
     def __init__(self, fam, metric):
         if fam.kind != ROOTED:
@@ -187,24 +224,15 @@ class RootedHopSpanner(PathReportingSpanner):
         self.fam = fam
         self.mat = metric.matrix()
         self.membership = fam.membership
-        for o in fam.orderings:
-            for pid in o.perm:
-                self.add_edge(pid, o.root, self.mat[pid, o.root])
+        self.heads = [[o.root] for o in fam.orderings]
+        self.add_head_edges((o.perm for o in fam.orderings), self.heads, self.mat)
 
     def query(self, u, v):
-        _check_ids(self.n, (u, v))
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            _check_ids(self.n, (u, v))
         if u == v:
             return [u], 0.0
-        best = None
-        shared = self.membership.get(v, ())
-        for k in self.membership.get(u, ()):
-            if k not in shared:
-                continue
-            r = self.fam.orderings[k].root
-            path = [u] + ([r] if r not in (u, v) else []) + [v]
-            w = self.mat[u, r] + self.mat[r, v]  # the zero diagonal covers r in (u, v)
-            if best is None or w < best[1]:
-                best = (path, w)
+        best = shared_two_hop(self.mat, self.membership, self.heads, u, v)
         if best is None:
             raise LookupError(f"pair ({u},{v}) shares no ordering")
         return best
@@ -404,20 +432,17 @@ class SpdSpanner(PathReportingSpanner):
                 orig[cid] = v
                 w = to_path[i][v]
                 tree_edges.append((cid, i, w if w > 0 else 1e-12))
+        # the level's rooted family on copy ids; heads and edges in original ids
         fam = build_rooted_lso_tree(WeightedGraph(len(orig), tree_edges))
-        for o in fam.orderings:
-            r = orig[o.root]
-            for member in o.perm:
-                mv = orig[member]
-                if mv != r:
-                    self.add_edge(mv, r, self.mat[mv, r])
+        heads = [[orig[o.root]] for o in fam.orderings]
+        self.add_head_edges(([orig[c] for c in o.perm] for o in fam.orderings), heads, self.mat)
         self.levels.append(
             {
                 "comp": comp,
                 "landmarks": landmarks,
                 "copies": copies,
-                "fam": fam,
-                "orig": orig,
+                "membership": fam.membership,
+                "heads": heads,
             }
         )
         for child in node.children:
@@ -443,28 +468,13 @@ class SpdSpanner(PathReportingSpanner):
                     pairs.add((ia, ib) if sa == "u" else (ib, ia))
             for iu_, iv_ in pairs:
                 candidates += 1
-                cu = level["copies"][(u, iu_)]
-                cv = level["copies"][(v, iv_)]
-                cand = self._tree_two_hop(level, cu, cv, u, v)
+                keys = level["copies"][(u, iu_)], level["copies"][(v, iv_)]
+                cand = shared_two_hop(self.mat, level["membership"], level["heads"], u, v, keys)
                 if cand is not None and (best is None or cand[1] < best[1]):
                     best = cand
         if best is None:
             raise LookupError(f"no level serves pair ({u},{v})")
         self.last_candidates = candidates
-        return best
-
-    def _tree_two_hop(self, level, cu, cv, u, v):
-        fam = level["fam"]
-        best = None
-        shared = fam.membership.get(cv, ())
-        for k in fam.membership.get(cu, ()):
-            if k not in shared:
-                continue
-            z = level["orig"][fam.orderings[k].root]
-            path = [u] + ([z] if z not in (u, v) else []) + [v]
-            w = sum(self.mat[a, b] for a, b in zip(path, path[1:]))
-            if best is None or w < best[1]:
-                best = (path, w)
         return best
 
 
@@ -483,8 +493,12 @@ class TzOracle:
     bunches: dict  # v -> {w: distance}
 
 
+# TzSpanner redraws the level samples at most this often
+TZ_ATTEMPTS = 64
+
+
 class TzSpanner(PathReportingSpanner):
-    def __init__(self, metric, k, seed=0, max_attempts=64):
+    def __init__(self, metric, k, seed=0):
         super().__init__(metric.n, 2 * k - 1, 2)
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -492,7 +506,7 @@ class TzSpanner(PathReportingSpanner):
         n = metric.n
         budget = 4.0 * k * n ** (1.0 + 1.0 / k)
         oracle = None
-        for attempt in range(max_attempts):
+        for attempt in range(TZ_ATTEMPTS):
             rng = seeds.rng_for(seed, "tz", attempt)
             levels = [list(range(n))]
             ok = True
@@ -530,7 +544,9 @@ class TzSpanner(PathReportingSpanner):
                 self.attempts = attempt + 1
                 break
         if oracle is None:
-            raise RuntimeError("TZ sampling failed to meet the bunch-size budget")
+            raise RuntimeError(
+                f"TZ sampling failed to meet the bunch-size budget in {TZ_ATTEMPTS} attempts"
+            )
         self.oracle = oracle
         self.total_bunch = sum(len(b) for b in oracle.bunches.values())
         for v in range(n):
@@ -555,10 +571,8 @@ class TzSpanner(PathReportingSpanner):
             i += 1
             a, b = b, a
             w = self.oracle.pivots[(i, a)][0]
-        path = [u] + ([w] if w not in (u, v) else []) + [v]
-        weight = sum(self.mat[x, y] for x, y in zip(path, path[1:]))
         self.last_iters = iters
-        return path, weight
+        return two_hop_path(self.mat, u, w, v)
 
 
 def tz_spanner(metric, k, seed=0):
@@ -662,10 +676,9 @@ class SparseCoverSpanner(PathReportingSpanner):
                 continue
             center, members = scale.clusters[cidx]
             if v in members or v == center:
-                path = [u] + ([center] if center not in (u, v) else []) + [v]
-                w = sum(self.mat[a, b] for a, b in zip(path, path[1:]))
-                if best is None or w < best[1]:
-                    best = (path, w)
+                cand = two_hop_path(self.mat, u, center, v)
+                if best is None or cand[1] < best[1]:
+                    best = cand
         if best is None:
             raise RuntimeError(
                 f"estimator fault: no scanned scale serves pair ({u},{v})"
@@ -708,8 +721,9 @@ RECOMPUTE_ROWS = 1 << 11
 class FtOrderingSpanner(PathReportingSpanner):
     """Classic/triangle: per-ordering FT hop structures, queried over all
     orderings at once through the position table, each ordering reading the
-    ascending positions of the faults in it; rooted: edges from the first
-    f+1 points of each ordering."""
+    ascending positions of the faults in it; rooted: the first f+1 points of
+    each ordering are its heads, and a query goes through the first
+    surviving head of each shared ordering (shared_two_hop)."""
 
     def __init__(self, fam, metric, f):
         stretch = {
@@ -727,12 +741,8 @@ class FtOrderingSpanner(PathReportingSpanner):
         if fam.kind == ROOTED:
             self.f = f
             self.membership = fam.membership
-            for o in fam.orderings:
-                heads = o.perm[: f + 1]
-                for z in heads:
-                    for pid in o.perm:
-                        if pid != z:
-                            self.add_edge(pid, z, self.mat[pid, z])
+            self.heads = [o.perm[: f + 1] for o in fam.orderings]
+            self.add_head_edges((o.perm for o in fam.orderings), self.heads, self.mat)
         else:
             self.ft = FtTwoHopPathSpanner(metric.n, f)
             self.f = self.ft.f
@@ -746,25 +756,15 @@ class FtOrderingSpanner(PathReportingSpanner):
         F = set(faults)
         if len(F) > self.f:
             raise ValueError(f"fault set exceeds budget {self.f}")
-        _check_ids(self.n, F | {u, v})
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            _check_ids(self.n, (u, v))
+        _check_ids(self.n, F)
         if u in F or v in F:
             raise ValueError("query endpoints must survive")
         if u == v:
             return [u], 0.0
         if self.kind == ROOTED:
-            best = None
-            shared = self.membership.get(v, ())
-            for k in self.membership.get(u, ()):
-                if k not in shared:
-                    continue
-                o = self.fam.orderings[k]
-                z = next((p for p in o.perm[: self.f + 1] if p not in F), None)
-                if z is None:
-                    continue
-                path = [u] + ([z] if z not in (u, v) else []) + [v]
-                w = self.mat[u, z] + self.mat[z, v]
-                if best is None or w < best[1]:
-                    best = (path, w)
+            best = shared_two_hop(self.mat, self.membership, self.heads, u, v, faults=F)
             if best is None:
                 raise LookupError(f"no surviving root serves ({u},{v})")
             return best
@@ -800,10 +800,10 @@ class FtOrderingSpanner(PathReportingSpanner):
             iu, iv = np.triu_indices(alive.size, k=1)
             a, b = alive[iu], alive[iv]
             best = np.full(a.shape, np.inf)
-            for o in self.fam.orderings:
+            for o, heads in zip(self.fam.orderings, self.heads):
                 member_mask = np.zeros(self.n, dtype=bool)
                 member_mask[o.perm] = True
-                z = next((p for p in o.perm[: self.f + 1] if p not in F), None)
+                z = next((p for p in heads if p not in F), None)
                 if z is None:
                     continue
                 inside = member_mask[a] & member_mask[b]

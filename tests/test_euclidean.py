@@ -12,7 +12,6 @@ from lsorder.euclidean import (
     _ball_torus_share,
     _greedy_path_patterns,
     _grid_chunks,
-    _lp_norms,
     _materialize_grid_ordering,
     _ordering_from_scheme,
     _sample_covering_centers,
@@ -24,7 +23,7 @@ from lsorder.euclidean import (
     sample_lp_ball,
     sample_scheme,
 )
-from lsorder.metrics import LpMetric, PointSet, floor_log2, lp_distance
+from lsorder.metrics import LpMetric, PointSet, floor_log2, lp_distance, lp_norms
 from lsorder.orderings import Ordering, OrderingFamily, VerificationReport, verify_classic, verify_triangle
 from lsorder import euclidean, seeds
 
@@ -75,7 +74,7 @@ def carve_scale(ps, scheme, i):
         if centers.size:
             diff = z[None, :] - centers
             u = np.rint(diff / period)
-            dist = _lp_norms(diff - period * u, scheme.p)
+            dist = lp_norms(diff - period * u, scheme.p)
             hits = np.nonzero(dist <= w)[0]
             if hits.size:
                 first = int(hits[0])

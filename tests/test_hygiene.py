@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
-CLI flag is read by its subcommand's handler, every attribute a package
-class stores is read somewhere, and every function the benchmark tracer
-wraps exists."""
+CLI flag is read by its subcommand's handler, every defaulted parameter of a
+package function is passed by some caller, every attribute a package class
+stores is read somewhere, and every function the benchmark tracer wraps
+exists."""
 
 import argparse
 import ast
@@ -84,6 +85,88 @@ def test_args_reads_follows_helpers():
 def _callee(call):
     f = call.func
     return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def never_passed_defaults(defining, calling):
+    """`file:Owner.func(param)` for each defaulted parameter of a function or
+    method in `defining` that no call in `calling` passes, by keyword or by
+    position.  A call reaches every function of its callee's name; `__init__`
+    is reached through its class name, and a method's positions start after
+    self.  A call with *args passes every position, one with **kwargs every
+    keyword."""
+    calls = {}
+    for tree in calling.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+
+    def passed(call, name, idx):
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        return idx is not None and (
+            idx < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args)
+        )
+
+    out = []
+
+    def visit(node, owner, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, where)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                method = owner is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+                )
+                positional = [p.arg for p in a.posonlyargs + a.args][method:]
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+                ]
+                sites = calls.get(owner if child.name == "__init__" else child.name, [])
+                for name in defaulted:
+                    idx = positional.index(name) if name in positional else None
+                    if not any(passed(c, name, idx) for c in sites):
+                        label = f"{owner}.{child.name}" if owner else child.name
+                        out.append(f"{where}:{label}({name})")
+                visit(child, None, where)
+                continue
+            visit(child, owner, where)
+
+    for where, tree in defining.items():
+        visit(tree, None, where)
+    return sorted(out)
+
+
+def _trees(*dirs):
+    return {
+        p.relative_to(ROOT): ast.parse(p.read_text(encoding="utf-8"))
+        for d in dirs
+        for p in sorted(d.glob("*.py"))
+    }
+
+
+def test_every_default_is_passed_somewhere():
+    """A defaulted parameter that no caller in src, tests or perfbench ever
+    sets is a constant in disguise."""
+    trees = _trees(SRC, ROOT / "tests", ROOT / "perfbench")
+    defining = {path.name: tree for path, tree in trees.items() if path.parent == SRC.relative_to(ROOT)}
+    assert never_passed_defaults(defining, trees) == []
+
+
+def test_never_passed_defaults_reads_calls():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "def g(x=0):\n    pass\n"
+        "def h(y=0):\n    pass\n"
+        "class K:\n    def __init__(self, p=1, q=2):\n        pass\n"
+        "    def m(self, r=0, s=0):\n        def inner(t=0):\n            pass\n"
+        "f(0, 5, e=1)\ng(*args)\nK(q=1)\nK().m(1)\nh(**opts)\n"
+    )
+    tree = {"m.py": ast.parse(source)}
+    assert never_passed_defaults(tree, tree) == [
+        "m.py:K.__init__(p)", "m.py:K.m(s)", "m.py:f(c)", "m.py:f(d)", "m.py:inner(t)",
+    ]
 
 
 def _is_dataclass(cls):
@@ -241,11 +324,7 @@ class AttributeReads:
 
 
 def test_no_write_only_attributes():
-    trees = {
-        p.relative_to(ROOT): ast.parse(p.read_text(encoding="utf-8"))
-        for d in (SRC, ROOT / "tests", ROOT / "perfbench")
-        for p in sorted(d.glob("*.py"))
-    }
+    trees = _trees(SRC, ROOT / "tests", ROOT / "perfbench")
     defining = {path.name: tree for path, tree in trees.items() if path.parent == SRC.relative_to(ROOT)}
     assert AttributeReads(defining, trees).unread() == []
 

@@ -592,6 +592,80 @@ def test_ft_residual_table_cap(monkeypatch):
     assert ft.residual_all_pairs_weights({2})[1].tobytes() == reference_residual(ft, {2})[1].tobytes()
 
 
+def rooted_reference_query(mat, fam, f, u, v, faults):
+    """Per ordering holding both u and v, z = the first of perm[:f+1] not in
+    F; strict < keeps the first lightest path.  None when no ordering
+    serves the pair."""
+    if u == v:
+        return [u], 0.0
+    best = None
+    for o in fam.orderings:
+        if u not in o.perm or v not in o.perm:
+            continue
+        z = next((p for p in o.perm[: f + 1] if p not in faults), None)
+        if z is None:
+            continue
+        path = [u] + ([z] if z not in (u, v) else []) + [v]
+        w = sum(mat[a, b] for a, b in zip(path, path[1:]))
+        if best is None or w < best[1]:
+            best = (path, w)
+    return best
+
+
+def rooted_reference_residual(mat, fam, f, faults):
+    """orderings.via_root_weights with each ordering's first surviving head
+    in place of its root, read at the surviving pairs in np.triu_indices
+    order."""
+    n = mat.shape[0]
+    best = np.full((n, n), np.inf)
+    for o in fam.orderings:
+        z = next((p for p in o.perm[: f + 1] if p not in faults), None)
+        if z is None:
+            continue
+        members = np.asarray(o.perm, dtype=np.int64)
+        via = mat[members[:, None], z] + mat[z, members[None, :]]
+        best[np.ix_(members, members)] = np.minimum(best[np.ix_(members, members)], via)
+    alive = np.asarray([p for p in range(n) if p not in faults], dtype=np.int64)
+    iu, iv = np.triu_indices(alive.size, k=1)
+    return alive, best[alive[iu], alive[iv]]
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("n", [5, 60, 200])
+def test_ft_rooted_matches_per_ordering_reference(n, f):
+    """Rooted FT answers and residual bytes under fault sets at and below
+    the budget, one of them the roots of the first orderings."""
+    g = random_tree(n, 40 + n)
+    metric = shortest_path_metric(g)
+    mat = metric.matrix()
+    fam = build_rooted_lso_tree(g)
+    ft = ft_spanner_from_family(fam, metric, f)
+    rng = np.random.default_rng(n + f)
+    roots = list(dict.fromkeys(o.root for o in fam.orderings))[:f]
+    fault_sets = [
+        set(roots),
+        set(rng.choice(n, size=f, replace=False).tolist()),
+        set(rng.choice(n, size=f - 1, replace=False).tolist()),
+        set(),
+    ]
+    for faults in fault_sets:
+        alive = [p for p in range(n) if p not in faults]
+        pairs = [(u, v) for u in alive for v in alive]
+        if len(pairs) > 600:
+            pairs = [pairs[i] for i in rng.choice(len(pairs), size=600, replace=False)]
+        for u, v in pairs:
+            want = rooted_reference_query(mat, fam, f, u, v, faults)
+            if want is None:
+                with pytest.raises(LookupError):
+                    ft.query(u, v, faults)
+            else:
+                assert same_answer(ft.query(u, v, faults), want), (u, v, faults)
+        got_alive, got = ft.residual_all_pairs_weights(faults)
+        want_alive, want = rooted_reference_residual(mat, fam, f, faults)
+        assert got_alive.tolist() == want_alive.tolist()
+        assert got.tobytes() == want.tobytes(), faults
+
+
 def test_query_errors_leave_later_answers_unchanged(monkeypatch):
     """After each rejected query or residual call, including one whose batch
     kernel raises, the same queries give the same answers as before."""
