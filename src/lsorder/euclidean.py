@@ -339,58 +339,6 @@ def build_triangle_lso_verified(ps, p, t, delta, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# ball-intersection Monte Carlo
-
-
-@dataclass
-class VolumeRatioEstimate:
-    estimate: float
-    stderr: float
-
-
-def estimate_volume_ratio(d, radius, separation, p=2, samples=1_000_000, seed=0):
-    """Vol(B1 and B2) / Vol(B1 or B2) by Monte Carlo over the union.
-
-    Proposals are drawn uniformly from a random one of the two balls and
-    accepted with probability 1/#covering-balls, which makes the accepted
-    points exactly uniform over the union at any dimension (box rejection
-    dies at large d: its hit rate is Vol(ball)/2^d).  `samples` counts
-    proposals; every accepted sample is a union hit.
-    """
-    if separation < 0:
-        raise ValueError("separation must be nonnegative")
-    if separation == 0:
-        return VolumeRatioEstimate(1.0, 0.0)
-    if separation >= 2 * radius:
-        return VolumeRatioEstimate(0.0, 0.0)
-    if samples < 10_000:
-        raise ValueError("at least 10^4 samples required")
-    rng = seeds.rng_for(seed, "volume-ratio", d, radius, separation, p)
-    inter = 0
-    union = 0
-    remaining = samples
-    batch = 100_000
-    offset = np.zeros(d)
-    offset[0] = separation
-    while remaining > 0:
-        b = min(batch, remaining)
-        remaining -= b
-        pts = sample_lp_ball(rng, b, d, p) * radius
-        side = rng.integers(0, 2, size=b)
-        pts[side == 1, 0] += separation
-        # distance to the other ball's center decides multiplicity
-        other = pts.copy()
-        other[side == 0] -= offset  # their other center sits at (separation, 0, ...)
-        in_other = lp_norms(other, p) <= radius  # side==1 rows measure against the origin
-        keep = ~in_other | (rng.random(b) < 0.5)
-        inter += int(np.sum(in_other & keep))
-        union += int(np.sum(keep))
-    est = inter / union if union else 0.0
-    stderr = math.sqrt(est * (1 - est) / union) if union else 0.0
-    return VolumeRatioEstimate(est, stderr)
-
-
-# ---------------------------------------------------------------------------
 # classic grid LSO (shifted hierarchical grids, input-adaptive patterns)
 
 # Grid coordinates and their xors stay below 2^GRID_BITS, so for a xor v,

@@ -5,9 +5,17 @@ position i a set E_i of responsible midpoints; a pair query returns an l with
 i <= l <= j, {i,l} in E_i and {j,l} in E_j, so the reported path is monotone
 and therefore exact on the path metric.  Non-powers of two are built by
 padding to the next power and trimming.
+
+Every structure holds its edge set as the sorted distinct keys a*(n+1) + b
+of its edges {a, b}, a < b, and hands it out as the two int64 position
+arrays (a, b) (edge_arrays); has_edge is one searchsorted over the keys.
+One rule, level_midpoint, places the midpoint of each level's segments: the
+2-hop edges and the FT middle blocks (middle_blocks, block_keys) and the
+triangle NNS labels all read it.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -18,13 +26,83 @@ def _next_pow2(n):
     return 1 << max(0, (n - 1).bit_length())
 
 
-class TwoHopPathSpanner:
+def level_midpoint(pos, m):
+    """The midpoint c*2^m + 2^(m-1) of the level-m segment
+    [c*2^m + 1, (c+1)*2^m] that holds position pos (m >= 1; ints or int
+    arrays)."""
+    return ((pos - 1) >> m << m) + (1 << (m - 1))
+
+
+def middle_blocks(n, f, m):
+    """(v, b): every position v in 1..n paired with each position b <= n of
+    the middle block of its level-m segment, the f + 1 positions
+    level_midpoint(v, m) - f/2 .. + f/2 (f even) that lie in the segment."""
+    v = np.arange(1, n + 1, dtype=np.int64)
+    b = level_midpoint(v, m)[:, None] + np.arange(-(f // 2), f // 2 + 1)
+    v = np.broadcast_to(v[:, None], b.shape)
+    keep = (b <= n) & ((b - 1) >> m == (v - 1) >> m)
+    return v[keep], b[keep]
+
+
+def _sorted_keys(n, pairs):
+    """Sorted distinct keys min*(n+1) + max of the position pairs in pairs,
+    an iterable of int64 array pairs (a, b); pairs with a == b are dropped."""
+    keys = [np.empty(0, dtype=np.int64)]
+    for a, b in pairs:
+        keys.append((np.minimum(a, b) * (n + 1) + np.maximum(a, b))[a != b])
+    keys = np.concatenate(keys)
+    keys.sort()  # np.unique is many times slower on int64 here
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def block_keys(n, f):
+    """The edge keys of every middle block (middle_blocks) at every level
+    1..log2 of the padded n.  At f = 0 they are the 2-hop edges; above
+    f = 0 a segment of at most f + 2 positions has a block that covers all
+    but its last position, so it is joined whole, a clique."""
+    levels = _next_pow2(n).bit_length()
+    return _sorted_keys(n, (middle_blocks(n, f, m) for m in range(1, levels)))
+
+
+def _monotone_path(*points):
+    """The ascending points, each repeat dropped."""
+    return [points[0]] + [p for p, q in zip(points[1:], points) if p != q]
+
+
+def _clique(v):
+    """Every pair of the positions v."""
+    iu, iv = np.triu_indices(v.size, k=1)
+    return v[iu], v[iv]
+
+
+class _PositionEdges:
+    """An edge set over positions 1..n held as its sorted keys a*(n+1) + b,
+    a < b, in self.keys."""
+
+    def edge_arrays(self):
+        """(a, b): the int64 positions of every edge, a < b, in key order."""
+        return np.divmod(self.keys, self.n + 1)
+
+    def has_edge(self, a, b):
+        """Whether {a, b} is an edge: one searchsorted over the keys."""
+        a, b = min(a, b), max(a, b)
+        if not 1 <= a < b <= self.n:
+            return False
+        key = a * (self.n + 1) + b
+        k = int(np.searchsorted(self.keys, key))
+        return k < self.keys.size and int(self.keys[k]) == key
+
+    def num_edges(self):
+        return int(self.keys.size)
+
+
+class TwoHopPathSpanner(_PositionEdges):
     """Recursive-midpoint 1-spanner of the path 1..n.
 
-    E_i is the set of segment midpoints over all halving levels that contain
-    position i (the position itself is in E_i via its singleton segment);
-    everything is derivable from (n, levels) in O(1), so nothing is stored
-    per vertex.
+    E_i is i itself plus the level-m midpoint of i for every level m with
+    that midpoint at most n; everything is derivable from (n, levels) in
+    O(1), so nothing is stored per vertex and the edge keys are built only
+    when first read.
     """
 
     hops = 2
@@ -36,18 +114,16 @@ class TwoHopPathSpanner:
         self.n_padded = _next_pow2(self.n)
         self.delta = self.n_padded.bit_length() - 1
 
+    @cached_property
+    def keys(self):
+        return block_keys(self.n, 0)
+
     def edges_of(self, i):
         """Sorted midpoint list E_i (trimmed to [1, n])."""
         if not 1 <= i <= self.n:
             raise ValueError(f"position {i} out of range 1..{self.n}")
-        mids = {i}
-        x = i - 1
-        for m in range(1, self.delta + 1):
-            c = x >> m
-            mid = c * (1 << m) + (1 << (m - 1))
-            if 1 <= mid <= self.n:
-                mids.add(mid)
-        return sorted(mids)
+        mids = {i} | {level_midpoint(i, m) for m in range(1, self.delta + 1)}
+        return sorted(l for l in mids if l <= self.n)
 
     def in_edge_set(self, i, l):
         """Membership test l in E_i, O(1) bit operations."""
@@ -61,8 +137,14 @@ class TwoHopPathSpanner:
         return (i - 1) >> m == l >> m
 
     def num_edges(self):
-        """Total responsible-edge count sum |E_i| (= n log n + 1 at powers of two)."""
-        return sum(len(self.edges_of(i)) for i in range(1, self.n + 1))
+        """Total responsible-edge count sum |E_i| (= n log n + 1 at powers of
+        two), per level in O(1): the s segments whose midpoint is at most n
+        hold min(s*2^m, n) positions, and s of them are those midpoints."""
+        total = self.n
+        for m in range(1, self.delta + 1):
+            s = (self.n + (1 << (m - 1))) >> m
+            total += min(s << m, self.n) - s
+        return total
 
     def query(self, i, j):
         """Midpoint l with i <= l <= j, {i,l} in E_i, {j,l} in E_j."""
@@ -88,7 +170,7 @@ class TwoHopPathSpanner:
         return l
 
 
-class FtTwoHopPathSpanner:
+class FtTwoHopPathSpanner(_PositionEdges):
     """Fault-tolerant variant: middle blocks of f'+1 consecutive positions.
 
     An odd fault budget is rounded up to the even f' (the stored value);
@@ -106,45 +188,10 @@ class FtTwoHopPathSpanner:
         self.f = int(f) + (int(f) & 1)
         self.n_padded = _next_pow2(self.n)
         self.delta = self.n_padded.bit_length() - 1
-        # size of the segments that switch to cliques
-        s = self.n_padded
-        while s > self.f + 2 and s > 1:
-            s >>= 1
-        self.clique_size = s
-        self.edges = set()
-        stack = [(1, self.n_padded)]
-        while stack:
-            lo, hi = stack.pop()
-            if lo > self.n:
-                continue
-            size = hi - lo + 1
-            top = min(hi, self.n)
-            if size <= self.clique_size:
-                for a in range(lo, top + 1):
-                    for b in range(a + 1, top + 1):
-                        self.edges.add((a, b))
-                continue
-            blo, bhi = self._block(lo, hi)
-            for b in range(blo, min(bhi, self.n) + 1):
-                for v in range(lo, top + 1):
-                    if v != b:
-                        self.edges.add((min(v, b), max(v, b)))
-            mid = lo - 1 + size // 2
-            stack.append((lo, mid))
-            stack.append((mid + 1, hi))
-
-    def _block(self, lo, hi):
-        mid = lo - 1 + (hi - lo + 1) // 2
-        half = self.f // 2
-        return max(lo, mid - half), min(hi, mid + half)
-
-    def has_edge(self, a, b):
-        if a > b:
-            a, b = b, a
-        return (a, b) in self.edges
-
-    def num_edges(self):
-        return len(self.edges)
+        # size of the segments that are cliques: the largest power of two
+        # at most f' + 2, or the whole padded path
+        self.clique_size = min(self.n_padded, 1 << ((self.f + 2).bit_length() - 1))
+        self.keys = block_keys(self.n, self.f)
 
     def query(self, i, j, faults=()):
         """Surviving midpoint l with i <= l <= j and l not in faults."""
@@ -214,7 +261,7 @@ class FtTwoHopPathSpanner:
         return l
 
 
-class ThreeHopPathSpanner:
+class ThreeHopPathSpanner(_PositionEdges):
     """3-hop 1-spanner: block endpoints + boundary clique, recursing in blocks."""
 
     hops = 3
@@ -223,41 +270,25 @@ class ThreeHopPathSpanner:
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = int(n)
-        self.edges = set()
         self._hubs = {}
-        self._build(1, self.n)
+        pairs = []
+        self._build(1, self.n, pairs)
+        self.keys = _sorted_keys(self.n, pairs)
 
-    def _build(self, lo, hi):
-        size = hi - lo + 1
-        if size <= 4:
-            for a in range(lo, hi + 1):
-                for b in range(a + 1, hi + 1):
-                    self.edges.add((a, b))
-            for v in range(lo, hi + 1):
-                self._hubs[v] = self._hubs.get(v, [])
+    def _build(self, lo, hi, pairs):
+        v = np.arange(lo, hi + 1, dtype=np.int64)
+        if v.size <= 4:
+            pairs.append(_clique(v))
             return
-        b = max(2, int(math.isqrt(size)))
-        bounds = []
-        start = lo
-        while start <= hi:
-            end = min(start + b - 1, hi)
-            bounds.append((start, end))
-            for v in range(start, end + 1):
-                if v != start:
-                    self.edges.add((min(v, start), max(v, start)))
-                if v != end:
-                    self.edges.add((min(v, end), max(v, end)))
-                self._hubs.setdefault(v, []).append((start, end))
-            start = end + 1
-        ends = sorted({e for se in bounds for e in se})
-        for a_i in range(len(ends)):
-            for b_i in range(a_i + 1, len(ends)):
-                self.edges.add((ends[a_i], ends[b_i]))
-        for start, end in bounds:
-            self._build(start, end)
-
-    def num_edges(self):
-        return len(self.edges)
+        b = max(2, math.isqrt(v.size))
+        starts = v[::b]
+        ends = np.minimum(starts + b - 1, hi)
+        block = (v - lo) // b
+        pairs += [(v, starts[block]), (v, ends[block]), _clique(np.union1d(starts, ends))]
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            for p in range(start, end + 1):
+                self._hubs.setdefault(p, []).append((start, end))
+            self._build(start, end, pairs)
 
     def query(self, i, j):
         """Monotone path i .. j with at most 3 hops, all edges present."""
@@ -276,20 +307,11 @@ class ThreeHopPathSpanner:
         ):
             level += 1
         if level < len(blocks_i) and level < len(blocks_j):
-            ri = blocks_i[level][1]
-            lj = blocks_j[level][0]
-            path = [i]
-            if ri != i:
-                path.append(ri)
-            if lj != path[-1]:
-                path.append(lj)
-            if j != path[-1]:
-                path.append(j)
-            return path
+            return _monotone_path(i, blocks_i[level][1], blocks_j[level][0], j)
         return [i, j]  # same smallest block: clique edge
 
 
-class FourHopPathSpanner:
+class FourHopPathSpanner(_PositionEdges):
     """4-hop 1-spanner: log-size blocks, 2-hop structure on block boundaries,
     full recursion inside blocks (log* levels)."""
 
@@ -299,44 +321,31 @@ class FourHopPathSpanner:
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = int(n)
-        self.edges = set()
         self._bounds = {}
         self._sub = None
+        v = np.arange(1, self.n + 1, dtype=np.int64)
         if self.n <= 4:
-            for a in range(1, self.n + 1):
-                for b in range(a + 1, self.n + 1):
-                    self.edges.add((a, b))
+            self.keys = _sorted_keys(self.n, [_clique(v)])
             return
-        block = max(2, int(math.log2(self.n)) + 1)
-        self._ends = []
-        start = 1
-        while start <= self.n:
-            end = min(start + block - 1, self.n)
-            self._ends.append((start, end))
-            for v in range(start, end + 1):
-                self._bounds[v] = (start, end)
-                if v != start:
-                    self.edges.add((start, v))
-                if v != end:
-                    self.edges.add((min(v, end), max(v, end)))
-            start = end + 1
-        self._boundary = sorted({e for se in self._ends for e in se})
-        self._bpos = {v: idx + 1 for idx, v in enumerate(self._boundary)}
-        self._top = TwoHopPathSpanner(len(self._boundary))
-        for idx, v in enumerate(self._boundary):
-            for l in self._top.edges_of(idx + 1):
-                w = self._boundary[l - 1]
-                if w != v:
-                    self.edges.add((min(v, w), max(v, w)))
+        size = max(2, int(math.log2(self.n)) + 1)
+        starts = v[::size]
+        ends = np.minimum(starts + size - 1, self.n)
+        block = (v - 1) // size
+        boundary = np.union1d(starts, ends)
+        self._boundary = boundary.tolist()
+        self._bpos = {p: idx + 1 for idx, p in enumerate(self._boundary)}
+        self._top = TwoHopPathSpanner(boundary.size)
+        ta, tb = self._top.edge_arrays()
+        pairs = [(v, starts[block]), (v, ends[block]), (boundary[ta - 1], boundary[tb - 1])]
         self._sub = {}
-        for start, end in self._ends:
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            for p in range(start, end + 1):
+                self._bounds[p] = (start, end)
             sub = FourHopPathSpanner(end - start + 1)
             self._sub[(start, end)] = sub
-            for a, b in sub.edges:
-                self.edges.add((a + start - 1, b + start - 1))
-
-    def num_edges(self):
-        return len(self.edges)
+            a, b = sub.edge_arrays()
+            pairs.append((a + start - 1, b + start - 1))
+        self.keys = _sorted_keys(self.n, pairs)
 
     def query(self, i, j):
         """Monotone path i .. j with at most 4 hops."""
@@ -351,10 +360,5 @@ class FourHopPathSpanner:
             inner = self._sub[bi].query(i - bi[0] + 1, j - bi[0] + 1)
             return [v + bi[0] - 1 for v in inner]
         ri, lj = bi[1], bj[0]
-        mid = self._top.query(self._bpos[ri], self._bpos[lj])
-        z = self._boundary[mid - 1]
-        path = [i]
-        for v in (ri, z, lj, j):
-            if v != path[-1]:
-                path.append(v)
-        return path
+        z = self._boundary[self._top.query(self._bpos[ri], self._bpos[lj]) - 1]
+        return _monotone_path(i, ri, z, lj, j)

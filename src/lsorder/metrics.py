@@ -282,12 +282,6 @@ def build_epsilon_net(metric, r):
     return net
 
 
-def aspect_ratio(metric):
-    """Max pairwise distance over min positive pairwise distance."""
-    dmin, dmax = min_max_pairwise(metric)
-    return dmax / dmin
-
-
 def min_max_pairwise(metric):
     """(min positive distance, max distance) over all pairs."""
     mat = metric.matrix()

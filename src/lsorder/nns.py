@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hopsets import TwoHopPathSpanner
+from .hopsets import TwoHopPathSpanner, level_midpoint
 from .metrics import floor_log2
 from .orderings import ROOTED, TRIANGLE
 
@@ -328,9 +328,8 @@ def _entry_distance(label, oid):
 @dataclass(eq=False)
 class TriangleNnsLabel:
     """positions[o]: 1-indexed position in ordering o; weights[o, k]: distance
-    to the level-(k+1) midpoint ((pos-1) >> (k+1) << (k+1)) + 2^k of that
-    position (the 0.0 diagonal where the position is that midpoint, NaN
-    past n)."""
+    to level_midpoint(position, k + 1) (the 0.0 diagonal where the position
+    is that midpoint, NaN past n)."""
 
     point: int
     positions: np.ndarray  # (m,) int64
@@ -352,7 +351,7 @@ def assign_triangle_labels(fam, metric):
     weights = np.full((n_host, m, delta), np.nan)
     pos = np.arange(1, n_host + 1)
     for k in range(delta):
-        mid = ((pos - 1) >> (k + 1) << (k + 1)) + (1 << k)
+        mid = level_midpoint(pos, k + 1)
         ok = mid <= n_host
         weights[perms[:, ok], oids, k] = mat[perms[:, ok], perms[:, mid[ok] - 1]]
     labels = {

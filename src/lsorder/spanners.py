@@ -67,21 +67,21 @@ class PathReportingSpanner:
             self.edges[key] = float(w)
 
     def add_ordering_edges(self, perms, a, b, mat):
-        """add_edge(perm[a_k], perm[b_k], mat[perm[a_k], perm[b_k]]) for each
-        ordering in turn and each k in order (0-indexed positions a, b), one
-        ordering's arrays at a time; the first weight seen for an edge wins."""
+        """add_edge(u, v, mat[u, v]) for u, v = perm[a_k - 1], perm[b_k - 1],
+        for each ordering in turn and each k in order, one ordering's arrays
+        at a time; the first weight seen for an edge wins.  a, b are a hop
+        structure's edge_arrays, distinct position pairs, so one ordering's
+        point pairs are distinct too."""
         seen = np.zeros((self.n, self.n), dtype=bool)
         for key in self.edges:
             seen[key] = True
         for perm in perms:
-            u, v = perm[a], perm[b]
+            u, v = perm[a - 1], perm[b - 1]
             lo, hi = np.minimum(u, v), np.maximum(u, v)
-            _, first = np.unique(lo * self.n + hi, return_index=True)
-            first.sort()
-            first = first[(lo[first] != hi[first]) & ~seen[lo[first], hi[first]]]
-            seen[lo[first], hi[first]] = True
-            keys = zip(lo[first].tolist(), hi[first].tolist())
-            self.edges.update(zip(keys, mat[u[first], v[first]].tolist()))
+            new = ~seen[lo, hi]
+            seen[lo[new], hi[new]] = True
+            keys = zip(lo[new].tolist(), hi[new].tolist())
+            self.edges.update(zip(keys, mat[u[new], v[new]].tolist()))
 
     def add_head_edges(self, members, heads, mat):
         """add_edge(p, z, mat[p, z]) for each ordering in turn, each of its
@@ -174,10 +174,7 @@ class OrderingHopSpanner(PathReportingSpanner):
         self.hop = TwoHopPathSpanner(metric.n)
         self.perms, self.table = fam.perms, fam.table
         self.offsets = mid_offsets(self.perms)
-        mids_of = [self.hop.edges_of(pos) for pos in range(1, self.n + 1)]
-        pos0 = np.asarray([i for i, mids in enumerate(mids_of) for _ in mids], dtype=np.int64)
-        mid0 = np.asarray([l - 1 for mids in mids_of for l in mids], dtype=np.int64)
-        self.add_ordering_edges(self.perms, pos0, mid0, self.mat)
+        self.add_ordering_edges(self.perms, *self.hop.edge_arrays(), self.mat)
 
     def query(self, u, v):
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -685,24 +682,6 @@ class SparseCoverSpanner(PathReportingSpanner):
             )
         return best
 
-    def verify_padding(self):
-        """Cover padding: every Delta-ball around a point sits in its home
-        cluster; radius bound (2k-1)*Delta per cluster."""
-        for scale in self.scales:
-            for center, members in scale.clusters:
-                row = self.mat[center, members]
-                if np.any(row > (2 * self.k - 1) * scale.delta * (1 + 1e-9)):
-                    return False
-            for p in range(self.n):
-                cidx = scale.home.get(p)
-                if cidx is None:
-                    return False
-                members = set(scale.clusters[cidx][1])
-                ball = np.nonzero(self.mat[p] <= scale.delta)[0]
-                if not set(ball.tolist()) <= members:
-                    return False
-        return True
-
 
 def sparse_cover_spanner(metric, k, eps, estimator):
     return SparseCoverSpanner(metric, k, eps, estimator)
@@ -748,8 +727,7 @@ class FtOrderingSpanner(PathReportingSpanner):
             self.f = self.ft.f
             self.perms, self.table = fam.perms, fam.table
             self.offsets = mid_offsets(self.perms)
-            ends = np.asarray(list(self.ft.edges), dtype=np.int64).reshape(-1, 2) - 1
-            self.add_ordering_edges(self.perms, ends[:, 0], ends[:, 1], self.mat)
+            self.add_ordering_edges(self.perms, *self.ft.edge_arrays(), self.mat)
             self.candidates = None  # residual_all_pairs_weights builds it
 
     def query(self, u, v, faults=()):
@@ -896,12 +874,22 @@ class SpannerOracle:
 
 
 def _terminal_chains(fam, terminals):
-    """Per ordering, the terminals (sorted, distinct point ids) in that
-    ordering's order."""
+    """(tau, m): per ordering, the terminals (sorted, distinct point ids) in
+    that ordering's order."""
     _check_ids(fam.perms.shape[1], terminals)
-    terms = np.asarray(terminals, dtype=np.int64)
-    for perm, pos in zip(fam.perms, fam.table):
-        yield perm[np.sort(pos[terms]) - 1].tolist()
+    pos = np.sort(fam.table[:, np.asarray(terminals, dtype=np.int64)], axis=1)
+    return np.take_along_axis(fam.perms, pos - 1, axis=1)
+
+
+def _chain_edges(mat, chains, a, b, cap):
+    """The edges {chain[a_k - 1], chain[b_k - 1]} of every chain (1-indexed
+    positions a, b) whose weight is at most cap, each once as (u, v, w),
+    u < v."""
+    u, v = chains[:, a - 1].ravel(), chains[:, b - 1].ravel()
+    d = mat[u, v]
+    keep = d <= cap
+    keys = zip(np.minimum(u, v)[keep].tolist(), np.maximum(u, v)[keep].tolist())
+    return [(x, y, w) for (x, y), w in dict(zip(keys, d[keep].tolist())).items()]
 
 
 def spanner_oracle_classic(fam, metric):
@@ -914,14 +902,8 @@ def spanner_oracle_classic(fam, metric):
     mat = metric.matrix()
 
     def builder(terminals, L):
-        edges = {}
-        for chain in _terminal_chains(fam, terminals):
-            for a, b in zip(chain, chain[1:]):
-                d = mat[a, b]
-                if d <= 2 * L:
-                    key = (a, b) if a < b else (b, a)
-                    edges[key] = float(d)
-        return [(a, b, w) for (a, b), w in edges.items()]
+        a = np.arange(1, len(terminals), dtype=np.int64)
+        return _chain_edges(mat, _terminal_chains(fam, terminals), a, a + 1, 2 * L)
 
     return SpannerOracle(builder)
 
@@ -938,38 +920,9 @@ def spanner_oracle_triangle(fam, metric, hops=2):
     hop_cls = {2: TwoHopPathSpanner, 3: ThreeHopPathSpanner, 4: FourHopPathSpanner}[hops]
 
     def builder(terminals, L):
-        cap = 2 * fam.rho * L
-        edges = {}
-        m = len(terminals)
-        if m < 2:
+        if len(terminals) < 2:
             return []
-        for chain in _terminal_chains(fam, terminals):
-            hop = hop_cls(m)
-            if hops == 2:
-                pair_iter = (
-                    (i, l)
-                    for i in range(1, m + 1)
-                    for l in hop.edges_of(i)
-                    if l != i
-                )
-            else:
-                pair_iter = ((a, b) for a, b in hop.edges)
-            for a, b in pair_iter:
-                u, v = chain[a - 1], chain[b - 1]
-                d = mat[u, v]
-                if d <= cap:
-                    key = (u, v) if u < v else (v, u)
-                    edges[key] = float(d)
-        return [(a, b, w) for (a, b), w in edges.items()]
+        a, b = hop_cls(len(terminals)).edge_arrays()
+        return _chain_edges(mat, _terminal_chains(fam, terminals), a, b, 2 * fam.rho * L)
 
     return SpannerOracle(builder)
-
-
-def shortest_paths_on_edges(n, edges, sources):
-    """Distances from each source over an explicit edge list (for oracle
-    stretch checks); unreachable vertices stay at inf."""
-    adj = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return {s: dijkstra(adj, s) for s in sources}

@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from lsorder.doubling import build_ultrametric_cover, cover_preorder_to_triangle_lso
-from lsorder.euclidean import (
-    build_classic_grid_lso,
-    build_triangle_lso_verified,
-    estimate_volume_ratio,
-)
+from lsorder.euclidean import build_classic_grid_lso, build_triangle_lso_verified
 from lsorder.hopsets import FtTwoHopPathSpanner, TwoHopPathSpanner
 from lsorder.metrics import LpMetric, PointSet, WeightedGraph, shortest_path_metric
 from lsorder.nns import (
@@ -39,11 +35,12 @@ from lsorder.orderings import (
 )
 from lsorder.spanners import (
     ft_spanner_from_family,
-    shortest_paths_on_edges,
     spanner_oracle_classic,
     sparse_cover_spanner,
     tz_spanner,
 )
+from test_euclidean import estimate_volume_ratio
+from test_spanners import shortest_paths_on_edges, verify_padding
 
 PASS_LINES = []
 
@@ -443,7 +440,7 @@ def test_criterion_10_sparse_cover_spanner():
     metric = random_metric(n, 30)
     tzsp = tz_spanner(metric, k=k, seed=14)
     cover = sparse_cover_spanner(metric, k=k, eps=eps, estimator=lambda u, v: tzsp.query(u, v)[1])
-    assert cover.verify_padding()
+    assert verify_padding(cover)
     mat = metric.matrix()
     bound = (1 + eps) * (4 * k - 2)
     scan_cap = math.ceil(math.log(2 * k) / math.log(1 + eps)) + 3

@@ -1,4 +1,6 @@
 import itertools
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -111,6 +113,35 @@ def test_two_hop_query_batch_exact_at_huge_n():
     hi = [1 << k for k in ks] + [(1 << k) + 1 for k in ks] + [n]
     batch = s.query_batch(lo, hi)
     assert batch.tolist() == [s.query(a, b) for a, b in zip(lo, hi)]
+
+
+def test_two_hop_num_edges_closed_form():
+    for n in range(1, 301):
+        s = TwoHopPathSpanner(n)
+        assert s.num_edges() == sum(len(s.edges_of(i)) for i in range(1, n + 1)), n
+    # a per-position count never returns at n = 2^40: the alarm turns that
+    # into a failure
+    def expire(signum, frame):
+        raise TimeoutError("num_edges took over a second at n = 2^40")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        start = time.perf_counter()
+        assert TwoHopPathSpanner(1 << 40).num_edges() == (1 << 40) * 40 + 1
+        assert time.perf_counter() - start < 0.1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_two_hop_edge_arrays_match_edges_of():
+    for n in (1, 2, 3, 6, 8, 13, 64, 100):
+        s = TwoHopPathSpanner(n)
+        plain = {(min(i, l), max(i, l)) for i in range(1, n + 1) for l in s.edges_of(i) if l != i}
+        a, b = s.edge_arrays()
+        assert a.dtype == b.dtype == np.int64
+        assert list(zip(a.tolist(), b.tolist())) == sorted(plain)
 
 
 def test_two_hop_edge_size_bound():
@@ -424,7 +455,8 @@ def test_ft_f0_equals_two_hop():
     for n in list(range(1, 70)) + [100, 128, 129, 255]:
         ft, hop = FtTwoHopPathSpanner(n, 0), TwoHopPathSpanner(n)
         plain = {(min(i, l), max(i, l)) for i in range(1, n + 1) for l in hop.edges_of(i) if l != i}
-        assert ft.edges == plain
+        a, b = ft.edge_arrays()
+        assert set(zip(a.tolist(), b.tolist())) == plain
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert ft.query(i, j) == hop.query(i, j)
@@ -432,6 +464,60 @@ def test_ft_f0_equals_two_hop():
             iu, iv = np.triu_indices(n, k=1)
             no_faults = np.zeros(ft.n_padded + 2, dtype=bool)
             assert ft.query_batch(iu + 1, iv + 1, no_faults).tolist() == hop.query_batch(iu + 1, iv + 1).tolist()
+
+
+def ft_edges_reference(n, f):
+    """The FT edge set as a halving descent: each segment above clique size
+    joins its middle block to all of its positions, and a segment at clique
+    size is a clique."""
+    f += f & 1
+    n_padded = 1
+    while n_padded < n:
+        n_padded *= 2
+    clique_size = n_padded
+    while clique_size > f + 2 and clique_size > 1:
+        clique_size >>= 1
+    edges = set()
+    stack = [(1, n_padded)]
+    while stack:
+        lo, hi = stack.pop()
+        if lo > n:
+            continue
+        size = hi - lo + 1
+        top = min(hi, n)
+        if size <= clique_size:
+            for a in range(lo, top + 1):
+                for b in range(a + 1, top + 1):
+                    edges.add((a, b))
+            continue
+        mid = lo - 1 + size // 2
+        blo, bhi = max(lo, mid - f // 2), min(hi, mid + f // 2)
+        for b in range(blo, min(bhi, n) + 1):
+            for v in range(lo, top + 1):
+                if v != b:
+                    edges.add((min(v, b), max(v, b)))
+        stack.append((lo, mid))
+        stack.append((mid + 1, hi))
+    return edges
+
+
+def test_ft_edge_arrays_match_reference():
+    for n in list(range(1, 71)) + [100, 128, 129, 255, 512]:
+        for f in range(7):
+            ft = FtTwoHopPathSpanner(n, f)
+            a, b = ft.edge_arrays()
+            assert a.dtype == b.dtype == np.int64
+            assert list(zip(a.tolist(), b.tolist())) == sorted(ft_edges_reference(n, f)), (n, f)
+            assert ft.num_edges() == a.size
+
+
+def test_ft_has_edge_matches_reference():
+    for n in (1, 2, 5, 9, 16, 33):
+        for f in (0, 1, 2, 4):
+            ft, ref = FtTwoHopPathSpanner(n, f), ft_edges_reference(n, f)
+            for a in range(-1, n + 3):
+                for b in range(-1, n + 3):
+                    assert ft.has_edge(a, b) == ((min(a, b), max(a, b)) in ref), (n, f, a, b)
 
 
 def test_ft_rejects_oversized_fault_set():
@@ -450,7 +536,7 @@ def test_three_hop_monotone_exact():
                 assert len(path) <= 4  # <= 3 hops
                 assert all(a < b for a, b in zip(path, path[1:]))
                 for a, b in zip(path, path[1:]):
-                    assert (a, b) in s.edges
+                    assert s.has_edge(a, b)
 
 
 def test_four_hop_monotone_exact():
@@ -463,7 +549,7 @@ def test_four_hop_monotone_exact():
                 assert len(path) <= 5  # <= 4 hops
                 assert all(a < b for a, b in zip(path, path[1:]))
                 for a, b in zip(path, path[1:]):
-                    assert (a, b) in s.edges
+                    assert s.has_edge(a, b)
 
 
 def test_hop_edge_growth():

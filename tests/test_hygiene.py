@@ -1,8 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
 CLI flag is read by its subcommand's handler, every defaulted parameter of a
 package function is passed by some caller, every attribute a package class
-stores is read somewhere, and every function the benchmark tracer wraps
-exists."""
+stores is read somewhere, every public function is called outside the tests
+or named as API, and every function the benchmark tracer wraps exists."""
 
 import argparse
 import ast
@@ -345,6 +345,83 @@ def test_attribute_reads_follow_types():
     # A.x is read through a typed parameter, so B.x is not; A.y through the
     # subclass; B.z through a receiver of unknown type
     assert AttributeReads(tree, tree).unread() == ["m.py:15 B.x", "m.py:5 Rec.dropped"]
+
+
+# Public functions and methods that nothing in src, the CLI or perfbench
+# calls, kept as the package's API: file formats the CLI reads or writes,
+# reports, and paper constructions reached only from the tests.  The 3- and
+# 4-hop structures are reached through spanner_oracle_triangle.
+API = [
+    "fileio.py:read_spanner_edges",  # reads what `lsorder build` writes for a spanner
+    "fileio.py:write_tree_decomposition",  # writes what `lsorder build --td` reads
+    "orderings.py:VerificationReport.summary",
+    "spanners.py:SpdDecomposition.depth",
+    "spanners.py:spanner_oracle_classic",
+    "spanners.py:spanner_oracle_triangle",
+    "spanners.py:treewidth_bag_spd",
+]
+
+
+def _referenced_names(tree):
+    """Names that tree refers to outside the bodies of the functions of that
+    name: names, attributes, and the dotted parts of strings (the benchmark
+    tracer names its targets so)."""
+    names = set()
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, inside | {child.name})
+                continue
+            if isinstance(child, ast.Name):
+                names.add((child.id, inside))
+            elif isinstance(child, ast.Attribute):
+                names.add((child.attr, inside))
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                names.update((part, inside) for part in child.value.split("."))
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return {name for name, inside in names if name not in inside}
+
+
+def uncalled_public_defs(defining, calling):
+    """`file:Owner.name` for each public function or method of `defining`
+    whose name no tree of `calling` refers to."""
+    used = set().union(*(_referenced_names(tree) for tree in calling.values()))
+    out = []
+    for where, tree in defining.items():
+        for node in tree.body:
+            defs = node.body if isinstance(node, ast.ClassDef) else [node]
+            owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            out += [
+                f"{where}:{owner}{d.name}"
+                for d in defs
+                if isinstance(d, ast.FunctionDef) and not d.name.startswith("_") and d.name not in used
+            ]
+    return sorted(out)
+
+
+def test_every_public_function_is_called_or_api():
+    """A public function or method that only the tests call is a test helper
+    living in the package, unless it is on the API list."""
+    trees = _trees(SRC, ROOT / "perfbench")
+    defining = {path.name: tree for path, tree in trees.items() if path.parent == SRC.relative_to(ROOT)}
+    assert uncalled_public_defs(defining, trees) == API
+
+
+def test_uncalled_public_defs_reads_references():
+    source = (
+        "def used():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def traced():\n    pass\n"
+        "def _private():\n    pass\n"
+        "class K:\n    def method(self):\n        return self.other()\n"
+        "    def other(self):\n        pass\n"
+        "used()\nTARGETS = ['K.traced']\n"
+    )
+    tree = {"m.py": ast.parse(source)}
+    assert uncalled_public_defs(tree, tree) == ["m.py:K.method", "m.py:recursive"]
 
 
 def test_perfbench_tracer_targets_resolve():

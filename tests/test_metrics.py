@@ -9,7 +9,6 @@ from lsorder.metrics import (
     MatrixMetric,
     PointSet,
     WeightedGraph,
-    aspect_ratio,
     build_epsilon_net,
     components,
     dijkstra,
@@ -199,27 +198,6 @@ def test_epsilon_net_equals_greedy_scan(r):
         if all(metric.dist(i, j) >= r for j in greedy):
             greedy.append(i)
     assert build_epsilon_net(metric, r) == greedy
-
-
-def test_aspect_ratio_basic():
-    ps = PointSet([[0.0], [1.0]])
-    assert aspect_ratio(LpMetric(ps)) == 1.0
-    ps3 = PointSet([[0.0], [1.0], [3.0]])
-    assert aspect_ratio(LpMetric(ps3, 1)) == 3.0
-
-
-def test_aspect_ratio_matches_bruteforce():
-    rng = np.random.default_rng(23)
-    ps = PointSet(rng.uniform(size=(30, 3)))
-    m = LpMetric(ps)
-    dists = [m.dist(i, j) for i in range(30) for j in range(i + 1, 30)]
-    assert aspect_ratio(m) == pytest.approx(max(dists) / min(d for d in dists if d > 0))
-
-
-def test_aspect_ratio_identical_points_error():
-    ps = PointSet([[1.0, 2.0], [1.0, 2.0]])
-    with pytest.raises(ValueError):
-        aspect_ratio(LpMetric(ps))
 
 
 def test_matrix_metric_validation():

@@ -11,6 +11,7 @@ from lsorder.metrics import (
     MatrixMetric,
     PointSet,
     WeightedGraph,
+    dijkstra,
     shortest_path_metric,
 )
 from lsorder.nns import assign_rooted_labels, assign_triangle_labels
@@ -28,7 +29,6 @@ from lsorder.spanners import (
     pr_spanner_from_classic,
     pr_spanner_from_rooted,
     pr_spanner_from_triangle,
-    shortest_paths_on_edges,
     sparse_cover_spanner,
     spanner_oracle_classic,
     spanner_oracle_triangle,
@@ -37,6 +37,35 @@ from lsorder.spanners import (
     treewidth_bag_spd,
     tz_spanner,
 )
+
+
+def shortest_paths_on_edges(n, edges, sources):
+    """Distances from each source over an explicit edge list (for oracle
+    stretch checks); unreachable vertices stay at inf."""
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return {s: dijkstra(adj, s) for s in sources}
+
+
+def verify_padding(cover):
+    """Cover padding: every Delta-ball around a point sits in its home
+    cluster; radius bound (2k-1)*Delta per cluster."""
+    for scale in cover.scales:
+        for center, members in scale.clusters:
+            row = cover.mat[center, members]
+            if np.any(row > (2 * cover.k - 1) * scale.delta * (1 + 1e-9)):
+                return False
+        for p in range(cover.n):
+            cidx = scale.home.get(p)
+            if cidx is None:
+                return False
+            members = set(scale.clusters[cidx][1])
+            ball = np.nonzero(cover.mat[p] <= scale.delta)[0]
+            if not set(ball.tolist()) <= members:
+                return False
+    return True
 
 
 def random_metric(n, seed):
@@ -352,7 +381,7 @@ def test_sparse_cover_random_metric():
     metric = random_metric(n, 16)
     tzsp = tz_spanner(metric, k=k, seed=6)
     cover = sparse_cover_spanner(metric, k=k, eps=eps, estimator=lambda u, v: tzsp.query(u, v)[1])
-    assert cover.verify_padding()
+    assert verify_padding(cover)
     mat = metric.matrix()
     scan_cap = math.ceil(math.log(2 * k) / math.log(1 + eps)) + 3
     for u in range(n):
